@@ -7,17 +7,18 @@ singleton blocks can be merged into a pair without creating a crossing, and
 same split appears in a road-intersection model where noncrossing lane sets
 either admit a valid U-turn swap or do not.
 
-The library enumerates and classifies partitions, counts both classes with a
-dynamic program that reaches well past exhaustive range, evaluates the proved
-closed formulas and lower bounds, and realizes the lane-model bijection.
+The library enumerates and classifies partitions, counts both classes exactly
+from the coefficients of the lonely generating function far past exhaustive
+range, evaluates the proved closed formulas and lower bounds, and realizes the
+lane-model bijection.
 """
 from .enumeration import (
+    COUNT_CEILING,
     ORACLE_CEILING,
     CountJob,
     Tally,
     all_set_partitions,
     classified_stream,
-    default_workers,
     noncrossing_partitions,
     oracle_tally,
     stream_tally,
@@ -70,6 +71,7 @@ from .reference import MAX_PUBLISHED_N, SEQUENCE_IDS, published_row
 __version__ = "0.1.0"
 
 __all__ = [
+    "COUNT_CEILING",
     "CeilingExceededError",
     "Classification",
     "CountJob",
@@ -94,7 +96,6 @@ __all__ = [
     "classified_stream",
     "classify",
     "classify_fast",
-    "default_workers",
     "enumerate_msl",
     "grow_lonely",
     "grow_marriageable",

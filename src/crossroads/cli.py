@@ -21,7 +21,6 @@ from .enumeration import (
     CountJob,
     Tally,
     classified_stream,
-    default_workers,
     tally,
     tally_range,
 )
@@ -85,12 +84,6 @@ format_option = click.option(
 output_option = click.option(
     "--output", type=click.Path(writable=True), default=None, help="Write to a file."
 )
-workers_option = click.option(
-    "--workers",
-    type=click.IntRange(min=1),
-    default=None,
-    help="Worker processes (default: CROSSROADS_WORKERS or CPU count).",
-)
 
 
 @click.group()
@@ -101,13 +94,12 @@ def cli():
 
 @cli.command()
 @click.option("--n", type=click.IntRange(min=0), required=True)
-@workers_option
 @format_option
 @output_option
 @_guard
-def count(n: int, workers: "int | None", fmt: str, output: "str | None"):
+def count(n: int, fmt: str, output: "str | None"):
     """Tally the partitions of one ground-set size."""
-    t = tally(CountJob(n, workers=workers))
+    t = tally(CountJob(n))
     if fmt == "json":
         payload = {
             "n": t.n,
@@ -129,20 +121,19 @@ def count(n: int, workers: "int | None", fmt: str, output: "str | None"):
 TABLE_CSV_HEADER = ["n", "lonely", "marriageable", "catalan", "ratio_l", "ratio_m", "m_over_l", "m_over_c"]
 
 
-def _rows_for(max_n: int, workers: "int | None"):
-    tallies = tally_range(max_n, workers=workers)
+def _rows_for(max_n: int):
+    tallies = tally_range(max_n)
     return ratio_report(max_n, tallies)
 
 
 @cli.command()
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
-@workers_option
 @format_option
 @output_option
 @_guard
-def table(max_n: int, workers: "int | None", fmt: str, output: "str | None"):
+def table(max_n: int, fmt: str, output: "str | None"):
     """Counts and ratio columns for every n up to --max-n."""
-    rows = _rows_for(max_n, workers)
+    rows = _rows_for(max_n)
     if fmt == "json":
         payload = [
             {
@@ -179,11 +170,10 @@ def table(max_n: int, workers: "int | None", fmt: str, output: "str | None"):
 
 @cli.command()
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
-@workers_option
 @format_option
 @output_option
 @_guard
-def verify(max_n: int, workers: "int | None", fmt: str, output: "str | None"):
+def verify(max_n: int, fmt: str, output: "str | None"):
     """Recompute tallies and compare against the published reference rows.
 
     Exits 0 when every row matches and 2 otherwise, listing each mismatch.
@@ -194,7 +184,7 @@ def verify(max_n: int, workers: "int | None", fmt: str, output: "str | None"):
         raise CeilingExceededError(
             f"published reference values stop at n={MAX_PUBLISHED_N}, got {max_n}"
         )
-    tallies = tally_range(max_n, workers=workers)
+    tallies = tally_range(max_n)
     rows = []
     mismatches = 0
     for t in tallies:
@@ -284,18 +274,17 @@ def enumerate_cmd(n: int, wanted: "str | None", fmt: str, output: "str | None"):
 
 @cli.command()
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
-@workers_option
 @format_option
 @output_option
 @_guard
-def bounds(max_n: int, workers: "int | None", fmt: str, output: "str | None"):
+def bounds(max_n: int, fmt: str, output: "str | None"):
     """Evaluate the proved lower bounds and the two-step inequality.
 
     Checks lower_bound_lonely(n) <= lonely, lower_bound_marriageable(n) <=
     marriageable, and total + 3*marriageable <= marriageable two sizes up.
     Exits 2 on any violation.
     """
-    tallies = tally_range(max_n, workers=workers)
+    tallies = tally_range(max_n)
     checks = []
     for t in tallies:
         if t.n >= 2:
@@ -335,18 +324,17 @@ CONJECTURE_CSV_HEADER = ["n", "ratio_l", "ratio_m", "m_over_l", "m_over_c", "l_o
 
 @cli.command()
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
-@workers_option
 @format_option
 @output_option
 @_guard
-def conjectures(max_n: int, workers: "int | None", fmt: str, output: "str | None"):
+def conjectures(max_n: int, fmt: str, output: "str | None"):
     """Per-n quantities behind the five conjectured limits.
 
     Consecutive ratios of both sequences, marriageable over lonely,
     marriageable over total, lonely over total, and whether marriageable
     exceeds lonely.
     """
-    rows = _rows_for(max_n, workers)
+    rows = _rows_for(max_n)
     records = []
     for r in rows:
         records.append(
@@ -423,12 +411,11 @@ def intersection(n: int, fmt: str, output: "str | None"):
 @click.option("--seq", type=click.Choice(["L", "M"]), required=True,
               help="L for the lonely sequence, M for the marriageable one.")
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
-@workers_option
 @output_option
 @_guard
-def bfile(seq: str, max_n: int, workers: "int | None", output: "str | None"):
+def bfile(seq: str, max_n: int, output: "str | None"):
     """Write the sequence in OEIS b-file form, one "n a(n)" pair per line."""
-    tallies = tally_range(max_n, workers=workers)
+    tallies = tally_range(max_n)
     lines = []
     for t in tallies:
         value = t.lonely if seq == "L" else t.marriageable

@@ -9,18 +9,16 @@ stack of open blocks. At each position one of four moves applies:
 * append the position to the top block and close that block.
 
 Every noncrossing partition arises from exactly one move sequence, which
-gives a direct generator (no generate-then-filter), a streaming classifier,
-and a pair of memoized counting machines that tally the lonely partitions
-without visiting leaves one by one. Counts from the machines, the stream,
-and the brute-force oracle are cross-checked in the test suite.
+gives a direct generator (no generate-then-filter) and a streaming
+classifier. Counting visits no partition at all: the lonely numbers are the
+coefficients of an algebraic generating function, extracted one by one. The
+series, the stream, a memoized walk of the four moves and the brute-force
+oracle are cross-checked in the test suite.
 """
 from __future__ import annotations
 
-import os
-import sys
-from collections import Counter
 from dataclasses import dataclass
-from multiprocessing import get_context
+from operator import mul
 from typing import Iterator
 
 from .formulas import catalan
@@ -36,6 +34,9 @@ from .partitions import (
 
 ORACLE_CEILING = 10
 """Largest n accepted by the brute-force oracle over all set partitions."""
+
+COUNT_CEILING = 2000
+"""Largest n accepted by tally and tally_range; the series costs O(n^2) bigint steps."""
 
 
 @dataclass(frozen=True)
@@ -54,31 +55,20 @@ class Tally:
 
 @dataclass(frozen=True)
 class CountJob:
-    """A counting request: ground-set size, worker count, progress cadence.
+    """A counting request for the partitions of [n].
 
-    ``workers=None`` means use the CROSSROADS_WORKERS environment variable,
-    falling back to the machine's CPU count.
+    ``workers`` is validated but has no effect: the series runs in one
+    process. It stays so that callers passing it keep working.
     """
 
     n: int
     workers: "int | None" = None
-    progress_interval: "int | None" = None
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be nonnegative")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
-
-
-def default_workers() -> int:
-    env = os.environ.get("CROSSROADS_WORKERS", "").strip()
-    if env:
-        value = int(env)
-        if value < 1:
-            raise ValueError("CROSSROADS_WORKERS must be positive")
-        return value
-    return os.cpu_count() or 1
 
 
 def all_set_partitions(n: int) -> Iterator[Partition]:
@@ -165,7 +155,7 @@ def stream_tally(n: int) -> Tally:
     block, marking whether the block's current gap already holds a
     singleton, plus one flag for the top-level region. A singleton landing
     in a flagged region makes every completion of the current prefix
-    marriageable. Used as a midsize cross-check for the machines; costs one
+    marriageable. Used as a midsize cross-check for the series; costs one
     visit per noncrossing partition.
     """
     lonely = 0
@@ -216,53 +206,51 @@ def stream_tally(n: int) -> Tally:
     return Tally(n, lonely, total - lonely, total)
 
 
-# ---------------------------------------------------------------------------
-# Counting machines
-# ---------------------------------------------------------------------------
-#
-# State of the collapsed machine: (r, d, k, g) with r positions left, d open
-# blocks, k of those d having a singleton in their current gap, g the
-# top-level region flag. Only lonely-so-far prefixes are counted, so a move
-# that would drop a second singleton into a flagged region is pruned. The
-# collapse relies on the subtree count depending on the flags only through
-# their number, which the exact machine below confirms.
+def _lonely_series(max_n: int) -> "list[int]":
+    """L_0..L_max_n, read off the lonely generating function R(x) = sum L_n x^n.
 
+    A partition is lonely exactly when every region holds at most one
+    singleton. A block of size m >= 2 with its m - 1 gaps filled is
+    B = x^2 R / (1 - x R), a region without a singleton is R0 = 1 / (1 - B),
+    and a region with at most one is R = R0 + x R0^2. Eliminating B and R0,
 
-def _lonely_collapsed(state: tuple[int, int, int, int], memo: dict) -> int:
-    r, d, k, g = state
-    if d > r:
-        return 0
-    if r == 0:
-        return 1
-    cached = memo.get(state)
-    if cached is not None:
-        return cached
-    # open a new block (top of stack, gap unflagged)
-    count = _lonely_collapsed((r - 1, d + 1, k, g), memo)
-    if d == 0:
-        if g == 0:
-            # first singleton in the top-level region
-            count += _lonely_collapsed((r - 1, 0, 0, 1), memo)
-    elif k < d:
-        # top gap unflagged: singleton here flags it
-        count += _lonely_collapsed((r - 1, d, k + 1, g), memo)
-        # extend top, keep open: new gap, still unflagged
-        count += _lonely_collapsed((r - 1, d, k, g), memo)
-        # extend top and close
-        count += _lonely_collapsed((r - 1, d - 1, k, g), memo)
-    else:
-        # every open gap is flagged, in particular the top one
-        count += _lonely_collapsed((r - 1, d, k - 1, g), memo)
-        count += _lonely_collapsed((r - 1, d - 1, k - 1, g), memo)
-    memo[state] = count
-    return count
+        x^2 (1+x)^2 R^3 - x (2+3x+2x^2) R^2 + (1+2x+3x^2) R - (1+x) = 0.
+
+    The coefficient of x^n in that equation holds L_n once, with factor 1,
+    and otherwise only earlier coefficients of R, R^2 and R^3, so the terms
+    follow one by one in O(max_n^2) exact integer steps without recursion.
+    """
+    if max_n > COUNT_CEILING:
+        raise CeilingExceededError(
+            f"the lonely series is capped at n={COUNT_CEILING}, got {max_n}"
+        )
+    r: list[int] = []
+    r2: list[int] = []  # coefficients of R^2
+    r3: list[int] = []  # coefficients of R^3
+
+    def coeff(seq: list[int], k: int) -> int:
+        return seq[k] if k >= 0 else 0
+
+    for n in range(max_n + 1):
+        r.append(
+            (n <= 1)
+            - 2 * coeff(r, n - 1) - 3 * coeff(r, n - 2)
+            + 2 * coeff(r2, n - 1) + 3 * coeff(r2, n - 2) + 2 * coeff(r2, n - 3)
+            - coeff(r3, n - 2) - 2 * coeff(r3, n - 3) - coeff(r3, n - 4)
+        )
+        r2.append(sum(map(mul, r, reversed(r))))
+        r3.append(sum(map(mul, r, reversed(r2))))
+    return r
 
 
 def _lonely_exact_root(n: int) -> int:
-    """Exact twin of the collapsed machine: per-block flags as a bitmask.
+    """Lonely count of [n] by walking the four-move construction, memoized.
 
-    Bit t of ``bits`` is the current-gap flag of the open block at stack
-    depth t. Exists to validate the collapse; see the test suite.
+    The state is (r, d, bits, g): r positions left, d open blocks, bit t of
+    ``bits`` the current-gap singleton flag of the open block at stack depth
+    t, and g the top-level region flag. A move that would drop a second
+    singleton into a flagged region is pruned. Shares nothing with the
+    series; the test suite compares the two.
     """
     return _lonely_exact_inner(n, 0, 0, 0, {})
 
@@ -294,102 +282,15 @@ def _lonely_exact_inner(r: int, d: int, bits: int, g: int, memo: dict) -> int:
     return count
 
 
-def _total_count(n: int) -> int:
-    """Total noncrossing partitions via the same four-move machine."""
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(r: int, d: int) -> int:
-        if d > r:
-            return 0
-        if r == 0:
-            return 1
-        key = (r, d)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        value = rec(r - 1, d + 1) + rec(r - 1, d)
-        if d:
-            value += rec(r - 1, d) + rec(r - 1, d - 1)
-        memo[key] = value
-        return value
-
-    return rec(n, 0)
-
-
-def _frontier(n: int, min_states: int) -> Counter:
-    """Expand the collapsed machine a few levels down from the root.
-
-    Returns a multiset of states whose weighted subtree counts sum to the
-    root count. Expansion stops as soon as the frontier is wide enough to
-    feed the requested number of workers.
-    """
-    frontier: Counter = Counter({(n, 0, 0, 0): 1})
-    while len(frontier) < min_states:
-        nxt: Counter = Counter()
-        progressed = False
-        for (r, d, k, g), mult in frontier.items():
-            if r == 0 or d > r:
-                nxt[(r, d, k, g)] += mult
-                continue
-            progressed = True
-            nxt[(r - 1, d + 1, k, g)] += mult
-            if d == 0:
-                if g == 0:
-                    nxt[(r - 1, 0, 0, 1)] += mult
-            elif k < d:
-                nxt[(r - 1, d, k + 1, g)] += mult
-                nxt[(r - 1, d, k, g)] += mult
-                nxt[(r - 1, d - 1, k, g)] += mult
-            else:
-                nxt[(r - 1, d, k - 1, g)] += mult
-                nxt[(r - 1, d - 1, k - 1, g)] += mult
-        frontier = nxt
-        if not progressed:
-            break
-    return frontier
-
-
-def _eval_chunk(chunk: "list[tuple[tuple[int, int, int, int], int]]") -> int:
-    memo: dict = {}
-    return sum(mult * _lonely_collapsed(state, memo) for state, mult in chunk)
-
-
 def tally(job: CountJob) -> Tally:
     """Count the lonely and marriageable partitions of [job.n].
 
-    The lonely count comes from the collapsed machine; the total is computed
-    independently by the plain machine and checked against the Catalan
-    closed form before anything is returned. With more than one worker the
-    frontier of machine states is split deterministically across a process
-    pool, and the exact integer sum is identical for any worker count.
+    The lonely count is the nth coefficient of the lonely series, the total
+    is the Catalan number. Raises CeilingExceededError past COUNT_CEILING.
     """
-    n = job.n
-    workers = job.workers if job.workers is not None else default_workers()
-    total = _total_count(n)
-    expected = catalan(n)
-    if total != expected:
-        raise AssertionError(f"machine total {total} != Catalan {expected}")
-    if workers <= 1 or n < 8:
-        lonely = _lonely_collapsed((n, 0, 0, 0), {})
-    else:
-        frontier = _frontier(n, 4 * workers)
-        states = sorted(frontier.items())
-        chunks: list[list] = [[] for _ in range(min(workers, len(states)))]
-        for idx, item in enumerate(states):
-            chunks[idx % len(chunks)].append(item)
-        ctx = get_context("fork") if sys.platform != "win32" else get_context()
-        with ctx.Pool(len(chunks)) as pool:
-            done = 0
-            lonely = 0
-            for part in pool.imap(_eval_chunk, chunks):
-                lonely += part
-                done += 1
-                if job.progress_interval:
-                    print(
-                        f"progress: {done}/{len(chunks)} state chunks summed",
-                        file=sys.stderr,
-                    )
-    return Tally(n, lonely, total - lonely, total)
+    lonely = _lonely_series(job.n)[-1]
+    total = catalan(job.n)
+    return Tally(job.n, lonely, total - lonely, total)
 
 
 def oracle_tally(n: int) -> Tally:
@@ -413,11 +314,15 @@ def oracle_tally(n: int) -> Tally:
     return Tally(n, lonely, marriageable, lonely + marriageable)
 
 
-def tally_range(max_n: int, workers: "int | None" = None) -> "list[Tally]":
-    """Tallies for every n from 0 to max_n inclusive."""
+def tally_range(max_n: int) -> "list[Tally]":
+    """Tallies for every n from 0 to max_n inclusive, from one pass of the series."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    return [tally(CountJob(n, workers=workers)) for n in range(max_n + 1)]
+    tallies = []
+    for n, lonely in enumerate(_lonely_series(max_n)):
+        total = catalan(n)
+        tallies.append(Tally(n, lonely, total - lonely, total))
+    return tallies
 
 
 def classified_stream(n: int, kind: "Kind | None" = None) -> "Iterator[tuple[Partition, Classification]]":

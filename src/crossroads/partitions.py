@@ -25,9 +25,6 @@ class CeilingExceededError(ValueError):
     """Raised when an exhaustive operation is asked to exceed its ceiling."""
 
 
-RegionKey = "tuple[int, int] | None"
-
-
 @dataclass(frozen=True)
 class Partition:
     """A set partition of {1, ..., n} in canonical form.

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from crossroads import catalan
 from crossroads.cli import cli
 
 
@@ -36,11 +37,10 @@ class TestCount:
         data = json.loads(result.output)
         assert data == {"n": 10, "lonely": 7415, "marriageable": 9381, "total": 16796}
 
-    def test_workers_flag(self, runner):
-        one = runner.invoke(cli, ["count", "--n", "9", "--workers", "1"])
-        two = runner.invoke(cli, ["count", "--n", "9", "--workers", "2"])
-        assert one.output == two.output
-        assert one.exit_code == two.exit_code == 0
+    def test_deep_count(self, runner):
+        result = runner.invoke(cli, ["count", "--n", "1000", "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["total"] == str(catalan(1000))
 
     def test_output_file(self, runner, tmp_path):
         target = tmp_path / "count.json"
@@ -227,6 +227,12 @@ class TestExitCodes:
     def test_ceiling_exit(self, runner):
         result = runner.invoke(cli, ["verify", "--max-n", "20"])
         assert result.exit_code == 65
+
+    def test_count_ceiling_exit(self, runner):
+        for argv in (["count", "--n", "2001"], ["table", "--max-n", "2001"]):
+            result = runner.invoke(cli, argv)
+            assert result.exit_code == 65
+            assert "capped at n=2000" in result.output
 
     def test_unwritable_output_path(self, runner, tmp_path):
         target = tmp_path / "no-such-dir" / "out.json"
