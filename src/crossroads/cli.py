@@ -8,6 +8,7 @@ or data ceiling was exceeded.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -44,14 +45,25 @@ def _jnum(value: int):
     return value if abs(value) <= _JSON_SAFE else str(value)
 
 
-def _emit(text: str, output: "str | None") -> None:
+@contextlib.contextmanager
+def _lines(output: "str | None"):
+    """A write function for the --output file, or for stdout when none is given.
+
+    Writes are buffered, never flushed per line. Stdout is flushed once at
+    the end, still inside the command, so that :func:`_guard` sees a broken
+    pipe.
+    """
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            yield fh.write
     else:
-        click.echo(text)
+        yield sys.stdout.write
+        sys.stdout.flush()
+
+
+def _emit(text: str, output: "str | None") -> None:
+    with _lines(output) as write:
+        write(text + "\n")
 
 
 def _guard(func):
@@ -248,28 +260,17 @@ def verify(max_n: int, fmt: str, output: "str | None"):
 def enumerate_cmd(n: int, wanted: "str | None", fmt: str, output: "str | None"):
     """Stream noncrossing partitions in text form, optionally filtered."""
     kind = Kind(wanted) if wanted else None
-    sink = open(output, "w") if output else None
-
-    def put(line: str):
-        if sink:
-            sink.write(line + "\n")
-        else:
-            click.echo(line)
-
-    try:
+    with _lines(output) as write:
         if fmt == "csv":
-            put("partition,class")
+            write("partition,class\n")
         for p, c in classified_stream(n, kind):
             text = p.to_text()
             if fmt == "json":
-                put(json.dumps({"partition": text, "class": c.kind.value}, separators=(",", ":")))
+                write(json.dumps({"partition": text, "class": c.kind.value}, separators=(",", ":")) + "\n")
             elif fmt == "csv":
-                put(f"\"{text}\",{c.kind.value}")
+                write(f"\"{text}\",{c.kind.value}\n")
             else:
-                put(text)
-    finally:
-        if sink:
-            sink.close()
+                write(text + "\n")
 
 
 @cli.command()
@@ -378,33 +379,22 @@ def conjectures(max_n: int, fmt: str, output: "str | None"):
 @_guard
 def intersection(n: int, fmt: str, output: "str | None"):
     """Stream every maximal lane set with its absoluteness flag."""
-    sink = open(output, "w") if output else None
-
-    def put(line: str):
-        if sink:
-            sink.write(line + "\n")
-        else:
-            click.echo(line)
-
-    try:
+    with _lines(output) as write:
         if fmt == "csv":
-            put("lanes,absolute,partition")
+            write("lanes,absolute,partition\n")
         for m in enumerate_msl(n):
             absolute = is_absolute(m)
             text = m.to_text()
             part = msl_to_partition(m).to_text()
             if fmt == "json":
-                put(json.dumps(
+                write(json.dumps(
                     {"lanes": text, "absolute": absolute, "partition": part},
                     separators=(",", ":"),
-                ))
+                ) + "\n")
             elif fmt == "csv":
-                put(f"\"{text}\",{'true' if absolute else 'false'},\"{part}\"")
+                write(f"\"{text}\",{'true' if absolute else 'false'},\"{part}\"\n")
             else:
-                put(f"{text} {'absolute' if absolute else 'nonabsolute'}")
-    finally:
-        if sink:
-            sink.close()
+                write(f"{text} {'absolute' if absolute else 'nonabsolute'}\n")
 
 
 @cli.command()

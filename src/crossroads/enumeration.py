@@ -8,12 +8,16 @@ stack of open blocks. At each position one of four moves applies:
 * append the position to the open block on top of the stack and keep it open,
 * append the position to the top block and close that block.
 
-Every noncrossing partition arises from exactly one move sequence, which
-gives a direct generator (no generate-then-filter) and a streaming
-classifier. Counting visits no partition at all: the lonely numbers are the
-coefficients of an algebraic generating function, extracted one by one. The
-series, the stream, a memoized walk of the four moves and the brute-force
-oracle are cross-checked in the test suite.
+Every noncrossing partition arises from exactly one move sequence, so one
+walker over the moves generates each partition once, already canonical, and
+classifies it on the way: a partition is marriageable exactly when two
+singletons share a region (the top level or one gap of one block).
+``noncrossing_partitions`` and ``classified_stream`` are thin views of it.
+
+Counting visits no partition at all: the lonely numbers are the coefficients
+of an algebraic generating function, extracted one by one. The series, a
+flags-only count over the same moves (``stream_tally``), a memoized walk of
+the four moves and the brute-force oracle are cross-checked in the test suite.
 """
 from __future__ import annotations
 
@@ -28,7 +32,6 @@ from .partitions import (
     Kind,
     Partition,
     classify,
-    classify_fast,
     is_noncrossing_definitional,
 )
 
@@ -37,6 +40,8 @@ ORACLE_CEILING = 10
 
 COUNT_CEILING = 2000
 """Largest n accepted by tally and tally_range; the series costs O(n^2) bigint steps."""
+
+_LONELY = Classification(Kind.LONELY)
 
 
 @dataclass(frozen=True)
@@ -104,48 +109,81 @@ def all_set_partitions(n: int) -> Iterator[Partition]:
             maxes[k] = maxes[k - 1]
 
 
+def _walk(n: int, kind: "Kind | None") -> "Iterator[tuple[Partition, Classification]]":
+    """Every noncrossing partition of [n] with its classification, in walk order.
+
+    Per open block the walk keeps the first singleton of the block's current
+    gap (0 for none); ``root`` is that slot for the top level. A second
+    singleton in a region gives the mergeable pair (first, pos), and the
+    least pair found is the witness :func:`classify` returns. LONELY prunes
+    every prefix holding a pair; MARRIAGEABLE skips the lonely leaves.
+    """
+    blocks: list[list[int]] = []
+    stack: list[list[int]] = []  # the open blocks, innermost last
+    firsts: list[int] = []  # first singleton of each open block's current gap
+    lonely_only = kind is Kind.LONELY
+    marriageable_only = kind is Kind.MARRIAGEABLE
+
+    def walk(pos: int, root: int, witness: "tuple[int, int] | None"):
+        if pos > n:
+            if witness is not None or not marriageable_only:
+                c = _LONELY if witness is None else Classification(Kind.MARRIAGEABLE, witness)
+                yield Partition._canonical(n, tuple([tuple(b) for b in blocks])), c
+            return
+        # every open block needs a later element, so depth <= positions left
+        remaining = n - pos + 1
+        depth = len(stack)
+        if depth:
+            top = stack.pop()
+            first = firsts.pop()
+            top.append(pos)
+            # close the top block here: its last gap ends with it
+            yield from walk(pos + 1, root, witness)
+            stack.append(top)
+            firsts.append(first)
+            if depth < remaining:
+                # keep it open: a fresh gap starts
+                firsts[-1] = 0
+                yield from walk(pos + 1, root, witness)
+                firsts[-1] = first
+            top.pop()
+        if depth < remaining:
+            # a singleton in the innermost region
+            first = firsts[-1] if depth else root
+            blocks.append([pos])
+            if first:
+                if not lonely_only:
+                    pair = (first, pos)
+                    yield from walk(pos + 1, root, pair if witness is None else min(witness, pair))
+            elif depth:
+                firsts[-1] = pos
+                yield from walk(pos + 1, root, witness)
+                firsts[-1] = 0
+            else:
+                yield from walk(pos + 1, pos, witness)
+            blocks.pop()
+        if depth + 1 < remaining:
+            # open a new block
+            block = [pos]
+            blocks.append(block)
+            stack.append(block)
+            firsts.append(0)
+            yield from walk(pos + 1, root, witness)
+            firsts.pop()
+            stack.pop()
+            blocks.pop()
+
+    return walk(1, 0, None)
+
+
 def noncrossing_partitions(n: int) -> Iterator[Partition]:
     """Every noncrossing partition of [n], exactly once, by direct construction.
 
     The order is deterministic: at each position the moves are tried as
     append-and-close, append-and-keep-open, singleton, open-new-block.
     """
-    if n == 0:
-        yield Partition(0, ())
-        return
-    blocks: list[list[int]] = []
-    stack: list[int] = []
-
-    def walk(pos: int) -> Iterator[Partition]:
-        if pos > n:
-            if not stack:
-                yield Partition(n, [tuple(b) for b in blocks])
-            return
-        remaining = n - pos + 1
-        if stack:
-            top = stack[-1]
-            blocks[top].append(pos)
-            # close the top block here
-            closed = stack.pop()
-            yield from walk(pos + 1)
-            stack.append(closed)
-            # or keep it open for a later element
-            if len(stack) < remaining:
-                yield from walk(pos + 1)
-            blocks[top].pop()
-        if len(stack) < remaining:
-            # a singleton never stays on the stack
-            blocks.append([pos])
-            yield from walk(pos + 1)
-            blocks.pop()
-        if len(stack) + 1 < remaining:
-            blocks.append([pos])
-            stack.append(len(blocks) - 1)
-            yield from walk(pos + 1)
-            stack.pop()
-            blocks.pop()
-
-    yield from walk(1)
+    for p, _ in _walk(n, None):
+        yield p
 
 
 def stream_tally(n: int) -> Tally:
@@ -326,8 +364,9 @@ def tally_range(max_n: int) -> "list[Tally]":
 
 
 def classified_stream(n: int, kind: "Kind | None" = None) -> "Iterator[tuple[Partition, Classification]]":
-    """Stream (partition, classification) pairs, optionally one class only."""
-    for p in noncrossing_partitions(n):
-        c = classify_fast(p)
-        if kind is None or c.kind is kind:
-            yield p, c
+    """Stream (partition, classification) pairs in generation order, optionally one class only.
+
+    The classification is made during generation and agrees with
+    :func:`classify`, witness included.
+    """
+    yield from _walk(n, kind)

@@ -43,6 +43,19 @@ class Partition:
         object.__setattr__(self, "blocks", canon)
         self._validate()
 
+    @classmethod
+    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "Partition":
+        """A partition from blocks already in canonical form; validated, not re-sorted.
+
+        For the generator's own output, whose blocks are ascending and opened
+        in order of their minimum.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+        self._validate()
+        return self
+
     def _validate(self) -> None:
         if self.n < 0:
             raise ValueError("ground set size must be nonnegative")
@@ -80,7 +93,7 @@ class Partition:
 
     def to_text(self) -> str:
         """Inverse of :meth:`from_text`."""
-        return "/".join(",".join(str(x) for x in b) for b in self.blocks)
+        return "/".join([",".join(map(str, b)) for b in self.blocks])
 
     @property
     def singletons(self) -> tuple[int, ...]:

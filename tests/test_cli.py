@@ -1,6 +1,11 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -136,6 +141,45 @@ class TestEnumerate:
         assert lines[0] == "partition,class"
         assert '"1,2",lonely' in lines
         assert '"1/2",marriageable' in lines
+
+    # sha256 of the stdout of `enumerate --n 10`, pinned from the
+    # generate-sort-then-classify pipeline the walker replaced
+    GOLDEN_N10 = {
+        ("text", None): "0e9cd2368ea1aa144de0ddda26d67affd13caae412ba4d3e1c591f7241f397f6",
+        ("text", "lonely"): "3b46c38697eb7571cdc7e2615fc745c0e4ea2b4b766f716351e90829bde26baf",
+        ("text", "marriageable"): "a921dacdcd633344c1942964aa3a9a1f4d843386dae98790b30a50d0af4cefb3",
+        ("json", None): "f30fb4acba50eee454c16c6c5a0259c5e23b2b72fde3342995e7fc084da6ca46",
+        ("json", "lonely"): "755dff99e3756daa6f1f72493e06bd29c26602b0299493d71dccbefe26605148",
+        ("json", "marriageable"): "b11109365fba69d71e64ca520ddef95b0593c5a615fb27af88c54f1a1b0a3a1b",
+        ("csv", None): "ae0fc88dc8a2624fe469c5caa62fb3fd68648d36215f70a279daf1090e2e37c3",
+        ("csv", "lonely"): "90288cb13188f321a212b9c357e5e5cc63d896f4d430f0e727395ea9082d172f",
+        ("csv", "marriageable"): "a740ccea907b91d2ee3487f7fb7a7b690b4fc39f0ef221cab834581247b7c3b8",
+    }
+
+    @pytest.mark.parametrize("fmt, wanted", sorted(GOLDEN_N10, key=str))
+    def test_golden_bytes_at_10(self, runner, fmt, wanted):
+        argv = ["enumerate", "--n", "10", "--format", fmt]
+        if wanted:
+            argv += ["--class", wanted]
+        result = runner.invoke(cli, argv)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == self.GOLDEN_N10[fmt, wanted]
+
+    def test_broken_pipe_exits_1_quietly(self):
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crossroads.cli", "enumerate", "--n", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline() == b"1/2/3/4/5/6/7/8/9/10\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
 
 class TestBounds:

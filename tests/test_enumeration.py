@@ -12,6 +12,8 @@ from crossroads import (
     all_set_partitions,
     catalan,
     classified_stream,
+    classify,
+    classify_fast,
     is_noncrossing,
     noncrossing_partitions,
     oracle_tally,
@@ -180,3 +182,29 @@ class TestClassifiedStream:
         assert len(items) == 14
         marr = [p for p, c in items if c.kind is Kind.MARRIAGEABLE]
         assert len(marr) == 5
+
+    @staticmethod
+    def _assert_stream_equals(n, classifier):
+        expected = [(p, classifier(p)) for p in noncrossing_partitions(n)]
+        for kind in (None, Kind.LONELY, Kind.MARRIAGEABLE):
+            assert list(classified_stream(n, kind)) == [
+                (p, c) for p, c in expected if kind is None or c.kind is kind
+            ], (n, kind)
+
+    def test_walker_matches_the_definitional_classifier(self):
+        for n in range(10):
+            self._assert_stream_equals(n, classify)
+
+    def test_walker_matches_the_forest_classifier_at_10(self):
+        self._assert_stream_equals(10, classify_fast)
+
+    def test_walker_partitions_are_canonical(self):
+        for n in range(11):
+            items = list(classified_stream(n))
+            assert all(p == Partition(p.n, p.blocks) for p, _ in items), n
+            assert list(noncrossing_partitions(n)) == [p for p, _ in items], n
+
+    def test_empty_ground_set(self):
+        assert list(classified_stream(0)) == [(Partition(0, ()), classify(Partition(0, ())))]
+        assert list(classified_stream(0, Kind.LONELY)) == list(classified_stream(0))
+        assert list(classified_stream(0, Kind.MARRIAGEABLE)) == []
