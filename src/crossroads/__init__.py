@@ -14,6 +14,7 @@ lane-model bijection.
 """
 from .enumeration import (
     COUNT_CEILING,
+    ENUMERATE_CEILING,
     ORACLE_CEILING,
     CountJob,
     Tally,
@@ -75,6 +76,7 @@ __all__ = [
     "CeilingExceededError",
     "Classification",
     "CountJob",
+    "ENUMERATE_CEILING",
     "Kind",
     "Lane",
     "MAX_PUBLISHED_N",

@@ -1,48 +1,50 @@
 """Command-line interface.
 
 Eight subcommands over the library: count, table, verify, enumerate, bounds,
-conjectures, intersection, bfile. Reports print as text by default and as
-machine-readable json or csv on request. Exit codes: 0 success, 2 a
-verification or bound check found mismatches, 64 usage errors, 65 a resource
-or data ceiling was exceeded.
+conjectures, intersection, bfile. Each command hands its rows, tuples in the
+order of its column names, to one renderer, :func:`_render`, which writes text
+by default and json or csv on request (bfile: text only). Reports pass a list
+and are written in one piece; enumerate and intersection stream a generator.
+Exit codes: 0 success, 1 an output path could not be written, 2 a verification
+or bound check found mismatches, 64 usage errors, 65 a resource or data
+ceiling was exceeded.
 """
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
-import io
+import itertools
 import json
 import os
 import sys
+from dataclasses import astuple
 
 import click
 
-from .enumeration import (
-    CountJob,
-    Tally,
-    classified_stream,
-    tally,
-    tally_range,
-)
-from .formulas import (
-    catalan,
-    lower_bound_lonely,
-    lower_bound_marriageable,
-    ratio_report,
-    two_digits,
-)
+from .enumeration import CountJob, classified_stream, tally, tally_range
+from .formulas import lower_bound_lonely, lower_bound_marriageable, ratio_report, two_digits
 from .intersection import enumerate_msl, is_absolute, msl_to_partition
 from .partitions import CeilingExceededError, Kind
 
 click.exceptions.UsageError.exit_code = 64
 
-_JSON_SAFE = 2**53 - 1
+def _jnum(value):
+    """Integers stay bare JSON integers while exact in doubles, else strings."""
+    return str(value) if type(value) is int and abs(value) > 2**53 - 1 else value
 
 
-def _jnum(value: int):
-    """Counts stay bare JSON integers while exact in doubles, else strings."""
-    return value if abs(value) <= _JSON_SAFE else str(value)
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+_QUOTED = frozenset({"partition", "lanes"})  # CSV columns whose values hold commas
+
+
+def _cell(value, words=("false", "true")) -> str:
+    """One cell as a string: None becomes empty, a bool one of ``words``."""
+    if value is None:
+        return ""
+    if value is True or value is False:
+        return words[value]
+    return str(value)
 
 
 @contextlib.contextmanager
@@ -61,9 +63,45 @@ def _lines(output: "str | None"):
         sys.stdout.flush()
 
 
-def _emit(text: str, output: "str | None") -> None:
+def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, document=None):
+    """Write ``rows``, tuples in ``columns`` order, in format ``fmt``.
+
+    A stream (an iterator) is written line by line, a report (a list) at once.
+    csv: a header, then a line per row, each ending in "\\n"; None is empty,
+    bools are true/false, partition and lanes are quoted.
+    json: ``document(records)`` as one line, each record ``dict(zip(columns,
+    row))`` with large integers as strings (:func:`_jnum`); without
+    ``document``, one object per row and line.
+    text: with ``width``, a header and the cells right-aligned to it, bools as
+    yes/no; otherwise ``line(*row)`` per row, then ``summary`` if given.
+    """
+    report = [] if isinstance(rows, list) else None
+    rows = iter(rows)
+    # draw the first row before opening the output: a stream past its ceiling writes nothing
+    rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
     with _lines(output) as write:
-        write(text + "\n")
+        put = write if report is None else report.append
+        if fmt == "csv":
+            put(",".join(columns) + "\n")
+            template = ",".join('"{}"' if c in _QUOTED else "{}" for c in columns) + "\n"
+            for row in rows:
+                put(template.format(*map(_cell, row)))
+        elif fmt == "json" and document:
+            records = [{c: _jnum(v) for c, v in zip(columns, row)} for row in rows]
+            put(_encode(document(records)) + "\n")
+        elif fmt == "json":
+            for row in rows:
+                put(_encode(dict(zip(columns, row))) + "\n")
+        elif width:
+            for row in itertools.chain([columns], rows):
+                put(" ".join(_cell(v, ("no", "yes")).rjust(width) for v in row) + "\n")
+        else:
+            for row in rows:
+                put(line(*row) + "\n")
+            if summary:
+                put(summary + "\n")
+        if report is not None:
+            write("".join(report))
 
 
 def _guard(func):
@@ -85,17 +123,10 @@ def _guard(func):
     return wrapper
 
 
-format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json", "csv"]),
-    default="text",
-    show_default=True,
-    help="Output format.",
-)
-output_option = click.option(
-    "--output", type=click.Path(writable=True), default=None, help="Write to a file."
-)
+format_option = click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
+                             default="text", show_default=True, help="Output format.")
+output_option = click.option("--output", type=click.Path(writable=True), default=None,
+                             help="Write to a file.")
 
 
 @click.group()
@@ -111,31 +142,14 @@ def cli():
 @_guard
 def count(n: int, fmt: str, output: "str | None"):
     """Tally the partitions of one ground-set size."""
-    t = tally(CountJob(n))
-    if fmt == "json":
-        payload = {
-            "n": t.n,
-            "lonely": _jnum(t.lonely),
-            "marriageable": _jnum(t.marriageable),
-            "total": _jnum(t.total),
-        }
-        _emit(json.dumps(payload, separators=(",", ":")), output)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "lonely", "marriageable", "total"])
-        writer.writerow([t.n, t.lonely, t.marriageable, t.total])
-        _emit(buf.getvalue().rstrip("\n"), output)
-    else:
-        _emit(f"n={t.n}: lonely={t.lonely} marriageable={t.marriageable} total={t.total}", output)
+    _render(
+        output, fmt, ("n", "lonely", "marriageable", "total"), [astuple(tally(CountJob(n)))],
+        line="n={}: lonely={} marriageable={} total={}".format,
+        document=lambda records: records[0],
+    )
 
 
 TABLE_CSV_HEADER = ["n", "lonely", "marriageable", "catalan", "ratio_l", "ratio_m", "m_over_l", "m_over_c"]
-
-
-def _rows_for(max_n: int):
-    tallies = tally_range(max_n)
-    return ratio_report(max_n, tallies)
 
 
 @cli.command()
@@ -145,39 +159,27 @@ def _rows_for(max_n: int):
 @_guard
 def table(max_n: int, fmt: str, output: "str | None"):
     """Counts and ratio columns for every n up to --max-n."""
-    rows = _rows_for(max_n)
-    if fmt == "json":
-        payload = [
-            {
-                "n": r.n,
-                "lonely": _jnum(r.lonely),
-                "marriageable": _jnum(r.marriageable),
-                "catalan": _jnum(r.catalan),
-                "ratio_l": r.ratio_l,
-                "ratio_m": r.ratio_m,
-                "m_over_l": r.m_over_l,
-                "m_over_c": r.m_over_c,
-            }
-            for r in rows
-        ]
-        _emit(json.dumps(payload, separators=(",", ":")), output)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(TABLE_CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [r.n, r.lonely, r.marriageable, r.catalan,
-                 r.ratio_l or "", r.ratio_m or "", r.m_over_l or "", r.m_over_c]
-            )
-        _emit(buf.getvalue().rstrip("\n"), output)
-    else:
-        lines = [" ".join(h.rjust(12) for h in TABLE_CSV_HEADER)]
-        for r in rows:
-            cells = [r.n, r.lonely, r.marriageable, r.catalan,
-                     r.ratio_l or "", r.ratio_m or "", r.m_over_l or "", r.m_over_c]
-            lines.append(" ".join(str(c).rjust(12) for c in cells))
-        _emit("\n".join(lines), output)
+    _render(
+        output, fmt, TABLE_CSV_HEADER, [astuple(r) for r in ratio_report(max_n, tally_range(max_n))],
+        width=12, document=list,
+    )
+
+
+def _verify_line(n, match, lonely, marriageable, total, pl, pm, pc) -> str:
+    computed = f"lonely={lonely} marriageable={marriageable} total={total}"
+    if match:
+        return f"n={n}: ok {computed}"
+    return f"n={n}: MISMATCH computed {computed}, published lonely={pl} marriageable={pm} total={pc}"
+
+
+def _verify_document(records: list) -> dict:
+    keys = ("lonely", "marriageable", "total")
+    rows = [
+        {"n": r["n"], "match": r["match"], "computed": {k: r[k] for k in keys},
+         "published": {k: r[f"published_{k}"] for k in keys}}
+        for r in records
+    ]
+    return {"all_match": all(r["match"] for r in records), "rows": rows}
 
 
 @cli.command()
@@ -196,81 +198,37 @@ def verify(max_n: int, fmt: str, output: "str | None"):
         raise CeilingExceededError(
             f"published reference values stop at n={MAX_PUBLISHED_N}, got {max_n}"
         )
-    tallies = tally_range(max_n)
     rows = []
-    mismatches = 0
-    for t in tallies:
-        pl, pm, pc = published_row(t.n)
-        match = (t.lonely, t.marriageable, t.total) == (pl, pm, pc)
-        mismatches += 0 if match else 1
-        rows.append((t, (pl, pm, pc), match))
-    if fmt == "json":
-        payload = {
-            "all_match": mismatches == 0,
-            "rows": [
-                {
-                    "n": t.n,
-                    "match": match,
-                    "computed": {
-                        "lonely": _jnum(t.lonely),
-                        "marriageable": _jnum(t.marriageable),
-                        "total": _jnum(t.total),
-                    },
-                    "published": {
-                        "lonely": _jnum(pl),
-                        "marriageable": _jnum(pm),
-                        "total": _jnum(pc),
-                    },
-                }
-                for t, (pl, pm, pc), match in rows
-            ],
-        }
-        _emit(json.dumps(payload, separators=(",", ":")), output)
-    else:
-        lines = []
-        for t, (pl, pm, pc), match in rows:
-            if match:
-                lines.append(
-                    f"n={t.n}: ok lonely={t.lonely} marriageable={t.marriageable} total={t.total}"
-                )
-            else:
-                lines.append(
-                    f"n={t.n}: MISMATCH computed lonely={t.lonely} "
-                    f"marriageable={t.marriageable} total={t.total}, published "
-                    f"lonely={pl} marriageable={pm} total={pc}"
-                )
-        lines.append(f"{len(rows)} rows compared, {mismatches} mismatches")
-        _emit("\n".join(lines), output)
+    for t in tally_range(max_n):
+        computed, published = astuple(t)[1:], published_row(t.n)
+        rows.append((t.n, computed == published, *computed, *published))
+    mismatches = sum(not row[1] for row in rows)
+    _render(
+        output, fmt,
+        ("n", "match", "lonely", "marriageable", "total",
+         "published_lonely", "published_marriageable", "published_total"),
+        rows,
+        line=_verify_line, summary=f"{len(rows)} rows compared, {mismatches} mismatches",
+        document=_verify_document,
+    )
     if mismatches:
         sys.exit(2)
 
 
 @cli.command(name="enumerate")
 @click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option(
-    "--class",
-    "wanted",
-    type=click.Choice(["lonely", "marriageable"]),
-    default=None,
-    help="Stream only one class.",
-)
+@click.option("--class", "wanted", type=click.Choice(["lonely", "marriageable"]), default=None,
+              help="Stream only one class.")
 @format_option
 @output_option
 @_guard
 def enumerate_cmd(n: int, wanted: "str | None", fmt: str, output: "str | None"):
     """Stream noncrossing partitions in text form, optionally filtered."""
-    kind = Kind(wanted) if wanted else None
-    with _lines(output) as write:
-        if fmt == "csv":
-            write("partition,class\n")
-        for p, c in classified_stream(n, kind):
-            text = p.to_text()
-            if fmt == "json":
-                write(json.dumps({"partition": text, "class": c.kind.value}, separators=(",", ":")) + "\n")
-            elif fmt == "csv":
-                write(f"\"{text}\",{c.kind.value}\n")
-            else:
-                write(text + "\n")
+    _render(
+        output, fmt, ("partition", "class"),
+        ((p.to_text(), c.kind.value) for p, c in classified_stream(n, wanted and Kind(wanted))),
+        line=lambda partition, kind: partition,
+    )
 
 
 @cli.command()
@@ -289,34 +247,21 @@ def bounds(max_n: int, fmt: str, output: "str | None"):
     checks = []
     for t in tallies:
         if t.n >= 2:
-            lb = lower_bound_lonely(t.n)
-            checks.append(("lonely_bound", t.n, lb, t.lonely, lb <= t.lonely))
+            checks.append(("lonely_bound", t.n, lower_bound_lonely(t.n), t.lonely))
         if t.n >= 3:
-            mb = lower_bound_marriageable(t.n)
-            checks.append(("marriageable_bound", t.n, mb, t.marriageable, mb <= t.marriageable))
-    for t in tallies:
-        if t.n + 2 <= max_n:
-            lhs = t.total + 3 * t.marriageable
-            rhs = tallies[t.n + 2].marriageable
-            checks.append(("two_step", t.n, lhs, rhs, lhs <= rhs))
-    failed = [c for c in checks if not c[4]]
-    if fmt == "json":
-        payload = {
-            "all_hold": not failed,
-            "checks": [
-                {"check": name, "n": n, "bound": _jnum(a), "value": _jnum(b), "holds": ok}
-                for name, n, a, b, ok in checks
-            ],
-        }
-        _emit(json.dumps(payload, separators=(",", ":")), output)
-    else:
-        lines = []
-        for name, n, a, b, ok in checks:
-            status = "ok" if ok else "VIOLATED"
-            lines.append(f"{name} n={n}: {a} <= {b} {status}")
-        lines.append(f"{len(checks)} checks, {len(failed)} violations")
-        _emit("\n".join(lines), output)
-    if failed:
+            checks.append(("marriageable_bound", t.n, lower_bound_marriageable(t.n), t.marriageable))
+    for t in tallies[:-2]:
+        checks.append(("two_step", t.n, t.total + 3 * t.marriageable, tallies[t.n + 2].marriageable))
+    rows = [(*check, check[2] <= check[3]) for check in checks]
+    violations = sum(not row[4] for row in rows)
+    _render(
+        output, fmt, ("check", "n", "bound", "value", "holds"), rows,
+        line=lambda check, n, bound, value, holds:
+            f"{check} n={n}: {bound} <= {value} {'ok' if holds else 'VIOLATED'}",
+        summary=f"{len(rows)} checks, {violations} violations",
+        document=lambda records: {"all_hold": not violations, "checks": records},
+    )
+    if violations:
         sys.exit(2)
 
 
@@ -335,41 +280,15 @@ def conjectures(max_n: int, fmt: str, output: "str | None"):
     marriageable over total, lonely over total, and whether marriageable
     exceeds lonely.
     """
-    rows = _rows_for(max_n)
-    records = []
-    for r in rows:
-        records.append(
-            {
-                "n": r.n,
-                "ratio_l": r.ratio_l,
-                "ratio_m": r.ratio_m,
-                "m_over_l": r.m_over_l,
-                "m_over_c": r.m_over_c,
-                "l_over_c": two_digits(r.lonely, r.catalan),
-                "m_gt_l": r.marriageable > r.lonely,
-            }
-        )
-    if fmt == "json":
-        _emit(json.dumps(records, separators=(",", ":")), output)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CONJECTURE_CSV_HEADER)
-        for rec in records:
-            writer.writerow(
-                [rec["n"], rec["ratio_l"] or "", rec["ratio_m"] or "",
-                 rec["m_over_l"] or "", rec["m_over_c"], rec["l_over_c"],
-                 "true" if rec["m_gt_l"] else "false"]
-            )
-        _emit(buf.getvalue().rstrip("\n"), output)
-    else:
-        lines = [" ".join(h.rjust(10) for h in CONJECTURE_CSV_HEADER)]
-        for rec in records:
-            cells = [rec["n"], rec["ratio_l"] or "", rec["ratio_m"] or "",
-                     rec["m_over_l"] or "", rec["m_over_c"], rec["l_over_c"],
-                     "yes" if rec["m_gt_l"] else "no"]
-            lines.append(" ".join(str(c).rjust(10) for c in cells))
-        _emit("\n".join(lines), output)
+    _render(
+        output, fmt, CONJECTURE_CSV_HEADER,
+        [
+            (r.n, r.ratio_l, r.ratio_m, r.m_over_l, r.m_over_c,
+             two_digits(r.lonely, r.catalan), r.marriageable > r.lonely)
+            for r in ratio_report(max_n, tally_range(max_n))
+        ],
+        width=10, document=list,
+    )
 
 
 @cli.command()
@@ -379,22 +298,12 @@ def conjectures(max_n: int, fmt: str, output: "str | None"):
 @_guard
 def intersection(n: int, fmt: str, output: "str | None"):
     """Stream every maximal lane set with its absoluteness flag."""
-    with _lines(output) as write:
-        if fmt == "csv":
-            write("lanes,absolute,partition\n")
-        for m in enumerate_msl(n):
-            absolute = is_absolute(m)
-            text = m.to_text()
-            part = msl_to_partition(m).to_text()
-            if fmt == "json":
-                write(json.dumps(
-                    {"lanes": text, "absolute": absolute, "partition": part},
-                    separators=(",", ":"),
-                ) + "\n")
-            elif fmt == "csv":
-                write(f"\"{text}\",{'true' if absolute else 'false'},\"{part}\"\n")
-            else:
-                write(f"{text} {'absolute' if absolute else 'nonabsolute'}\n")
+    _render(
+        output, fmt, ("lanes", "absolute", "partition"),
+        ((m.to_text(), is_absolute(m), msl_to_partition(m).to_text()) for m in enumerate_msl(n)),
+        line=lambda lanes, absolute, partition:
+            f"{lanes} {'absolute' if absolute else 'nonabsolute'}",
+    )
 
 
 @cli.command()
@@ -405,12 +314,11 @@ def intersection(n: int, fmt: str, output: "str | None"):
 @_guard
 def bfile(seq: str, max_n: int, output: "str | None"):
     """Write the sequence in OEIS b-file form, one "n a(n)" pair per line."""
-    tallies = tally_range(max_n)
-    lines = []
-    for t in tallies:
-        value = t.lonely if seq == "L" else t.marriageable
-        lines.append(f"{t.n} {value}")
-    _emit("\n".join(lines), output)
+    _render(
+        output, "text", ("n", "value"),
+        [(t.n, t.lonely if seq == "L" else t.marriageable) for t in tally_range(max_n)],
+        line="{} {}".format,
+    )
 
 
 def main():

@@ -41,6 +41,10 @@ ORACLE_CEILING = 10
 COUNT_CEILING = 2000
 """Largest n accepted by tally and tally_range; the series costs O(n^2) bigint steps."""
 
+ENUMERATE_CEILING = 500
+"""Largest n accepted by noncrossing_partitions and classified_stream; the walker
+nests one generator frame per position, past the default recursion limit near n = 990."""
+
 _LONELY = Classification(Kind.LONELY)
 
 
@@ -118,6 +122,10 @@ def _walk(n: int, kind: "Kind | None") -> "Iterator[tuple[Partition, Classificat
     least pair found is the witness :func:`classify` returns. LONELY prunes
     every prefix holding a pair; MARRIAGEABLE skips the lonely leaves.
     """
+    if n > ENUMERATE_CEILING:
+        raise CeilingExceededError(
+            f"enumeration is capped at n={ENUMERATE_CEILING}, got {n}"
+        )
     blocks: list[list[int]] = []
     stack: list[list[int]] = []  # the open blocks, innermost last
     firsts: list[int] = []  # first singleton of each open block's current gap
@@ -181,6 +189,7 @@ def noncrossing_partitions(n: int) -> Iterator[Partition]:
 
     The order is deterministic: at each position the moves are tried as
     append-and-close, append-and-keep-open, singleton, open-new-block.
+    Raises CeilingExceededError past ENUMERATE_CEILING.
     """
     for p, _ in _walk(n, None):
         yield p
@@ -367,6 +376,7 @@ def classified_stream(n: int, kind: "Kind | None" = None) -> "Iterator[tuple[Par
     """Stream (partition, classification) pairs in generation order, optionally one class only.
 
     The classification is made during generation and agrees with
-    :func:`classify`, witness included.
+    :func:`classify`, witness included. Raises CeilingExceededError past
+    ENUMERATE_CEILING.
     """
     yield from _walk(n, kind)

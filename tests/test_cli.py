@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from crossroads import catalan
+from crossroads import ENUMERATE_CEILING, catalan
 from crossroads.cli import cli
 
 
@@ -116,6 +116,27 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--max-n", "15"])
         assert result.exit_code == 65
 
+    def test_csv_bytes(self, runner):
+        result = runner.invoke(cli, ["verify", "--max-n", "3", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (
+            b"n,match,lonely,marriageable,total,published_lonely,published_marriageable,published_total\n"
+            b"0,true,1,0,1,1,0,1\n"
+            b"1,true,1,0,1,1,0,1\n"
+            b"2,true,1,1,2,1,1,2\n"
+            b"3,true,4,1,5,4,1,5\n"
+        )
+
+    def test_csv_reports_both_value_sets(self, runner):
+        result = runner.invoke(cli, ["verify", "--max-n", "10", "--format", "csv"])
+        assert result.exit_code == 2
+        rows = list(csv.DictReader(io.StringIO(result.stdout)))
+        assert len(rows) == 11
+        assert rows[10]["match"] == "false"
+        assert rows[10]["lonely"] == "7415"
+        assert rows[10]["published_lonely"] == "7401"
+        assert rows[9]["match"] == "true"
+
 
 class TestEnumerate:
     def test_stream_count_is_catalan(self, runner):
@@ -165,6 +186,17 @@ class TestEnumerate:
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == self.GOLDEN_N10[fmt, wanted]
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_past_the_ceiling_exits_65_before_writing(self, runner, tmp_path, fmt):
+        argv = ["enumerate", "--n", str(ENUMERATE_CEILING + 1), "--format", fmt]
+        result = runner.invoke(cli, argv)
+        assert result.exit_code == 65
+        assert result.stdout_bytes == b""
+        assert result.stderr.startswith("error:")
+        target = tmp_path / "out"
+        assert runner.invoke(cli, argv + ["--output", str(target)]).exit_code == 65
+        assert not target.exists()
+
     def test_broken_pipe_exits_1_quietly(self):
         paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -196,6 +228,21 @@ class TestBounds:
         assert data["all_hold"] is True
         names = {c["check"] for c in data["checks"]}
         assert names == {"lonely_bound", "marriageable_bound", "two_step"}
+
+    def test_csv_bytes(self, runner):
+        result = runner.invoke(cli, ["bounds", "--max-n", "4", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (
+            b"check,n,bound,value,holds\n"
+            b"lonely_bound,2,1,1,true\n"
+            b"lonely_bound,3,4,4,true\n"
+            b"marriageable_bound,3,0,1,true\n"
+            b"lonely_bound,4,7,9,true\n"
+            b"marriageable_bound,4,4,5,true\n"
+            b"two_step,0,1,1,true\n"
+            b"two_step,1,1,1,true\n"
+            b"two_step,2,5,5,true\n"
+        )
 
 
 class TestConjectures:
@@ -231,6 +278,11 @@ class TestIntersectionCommand:
     def test_ceiling(self, runner):
         result = runner.invoke(cli, ["intersection", "--n", "8"])
         assert result.exit_code == 65
+
+    def test_ceiling_writes_no_csv_header(self, runner):
+        result = runner.invoke(cli, ["intersection", "--n", "8", "--format", "csv"])
+        assert result.exit_code == 65
+        assert result.stdout_bytes == b""
 
 
 class TestBfile:
@@ -294,3 +346,72 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert result.output.startswith("error:")
         assert "Traceback" not in result.output
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    # exit code and sha256 of stdout for every command in every format it
+    # takes, pinned from the per-command formatting the renderer replaced;
+    # count, table and conjectures CSV are pinned with "\n" line ends, where
+    # they used to end in "\r\n". verify and bounds CSV, which used to print
+    # the text report, are spelled out in TestVerify and TestBounds.
+    GOLDEN = {
+        "count --n 10 --format text": (0, "99d502769191f5fe766d65fe69227742445c5a62ec6733de8e33e172b2cc3f76"),
+        "count --n 10 --format json": (0, "2821e4554895f6ef4ceef00afe200bce333a5993782d0bce8e624d3acf309d0c"),
+        "count --n 10 --format csv": (0, "fbd4669f9126e967d6f6af6cc409946dea48e6fdb4594552173a2805ff885c54"),
+        "count --n 0 --format csv": (0, "182fd3122d507a2e605b98e6e7da9599f9aae3b7cc5167fbf5d924b47a8b71f7"),
+        "table --max-n 12 --format text": (0, "16e2fdd879ec07731ea4ee049eaecc104a2e59d486c65cf1b838e3dd2586ea54"),
+        "table --max-n 12 --format json": (0, "84c460141236022d5af27f421efac5822839092cea94083c6f03f71fbe4b683f"),
+        "table --max-n 12 --format csv": (0, "2faccf08cc9b018086c0979a4b417f9c0b8b175d74b12193e0b303596ea279e2"),
+        "verify --max-n 9": (0, "5783b3055faae2b057f3887575012348d35ce4bc30a456ce2c8127d946158f11"),
+        "verify --max-n 12 --format text": (2, "7365c08a52ada413d9aee51f904bee07e938906dc0cf84e7932c51d5a7cabd95"),
+        "verify --max-n 12 --format json": (2, "05ac2ee63398b14522bded96ff1dc5a37241bf0636ce048d875ab09b8b9488ba"),
+        "bounds --max-n 12 --format text": (0, "1fd729086806c3bc3020c718a8dfbe196dd82d4478336aec14ca2efb4b340ddb"),
+        "bounds --max-n 12 --format json": (0, "9fd91e9c0eb2204dca80304c0cb49e8de2b29d5fa65ab71daa1d19785ffcdb09"),
+        "conjectures --max-n 12 --format text": (0, "aac114fd8bf32143493499e8653cc488f6ab8133b32dda61d089e64602a45b77"),
+        "conjectures --max-n 12 --format json": (0, "cdd5a2ba59c1edf72517fe2c3770f8a47b25f6466fd86acb063b0ca6993fca1e"),
+        "conjectures --max-n 12 --format csv": (0, "29e7af06bfd9a020134f8c0ad13ba0aa90a99c2b99da9d248543b55d1091d4d4"),
+        "enumerate --n 5 --format text": (0, "10e6ac1d8d2729200adf67235db3a1fc61b091f1db05b688ee60e4f6d48077d7"),
+        "enumerate --n 5 --format json": (0, "49d0e95c3a2d9864bec065939a09356e5c078e822cc3205525754eae06f1d0a1"),
+        "enumerate --n 5 --format csv": (0, "31ca1f52683d4d08f53432da709d990ae5a9d937b396bb0d211546e55375a2e9"),
+        "enumerate --n 0 --format text": (0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+        "enumerate --n 0 --format text --class lonely": (0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+        "enumerate --n 0 --format text --class marriageable": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "enumerate --n 0 --format json": (0, "be7ec93b59252eb088dace4462efa4f4ea5d89b2d18e7204e5f1701dc1cf5776"),
+        "enumerate --n 0 --format json --class lonely": (0, "be7ec93b59252eb088dace4462efa4f4ea5d89b2d18e7204e5f1701dc1cf5776"),
+        "enumerate --n 0 --format json --class marriageable": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "enumerate --n 0 --format csv": (0, "105433f65a397a5fa2c35ba37ecc118e78dc09f55a069b2069d6b9e55bd019fa"),
+        "enumerate --n 0 --format csv --class lonely": (0, "105433f65a397a5fa2c35ba37ecc118e78dc09f55a069b2069d6b9e55bd019fa"),
+        "enumerate --n 0 --format csv --class marriageable": (0, "f9dcfc727b4021873255852059ceb7e36bc20160fb6eb48548017aa2f423bad5"),
+        "intersection --n 4 --format text": (0, "329c8ae9e24c354d740d91f4ab5a4777716dd7f7f075024bf7acb89d96544dcb"),
+        "intersection --n 4 --format json": (0, "fe8d0cfd1b56d023d5af0d3b3fd78ec8014e4e47ad7017b99412fb0e2dd9c677"),
+        "intersection --n 4 --format csv": (0, "2ac6a5c795a6276d4e6ec6652798d4343ac88a11b673b2504fdd0553dd18b4cd"),
+        "intersection --n 1 --format text": (0, "4469c55bb960d51e690801a82e504aa293b2249c76d8d4fd38a39f0fa538a38a"),
+        "intersection --n 1 --format json": (0, "bc12be48a942a6d3c1d65f23560b7e1447565483781aa9a53033cad9c83ef96a"),
+        "intersection --n 1 --format csv": (0, "10a2ebe73cc21f8f07c7b745a9528720b3ee93c189b45bab150eeb549c4e21c3"),
+        "bfile --seq L --max-n 20": (0, "dab5a6e13cfef02a12168eab734a42182b178c894733a342311cc4b06fd572cd"),
+        "bfile --seq M --max-n 20": (0, "1347e296218558183c41308c71b92af358e30593fbdd1cebfef405ab45e45a7f"),
+    }
+    EVERY = sorted(GOLDEN) + ["verify --max-n 12 --format csv", "bounds --max-n 12 --format csv"]
+
+    @pytest.mark.parametrize("line", sorted(GOLDEN))
+    def test_stdout_and_exit_code(self, runner, line):
+        result = runner.invoke(cli, line.split())
+        assert (result.exit_code, _sha256(result.stdout_bytes)) == self.GOLDEN[line]
+        assert result.stderr_bytes == b""
+
+    @pytest.mark.parametrize("line", EVERY)
+    def test_output_file_gets_the_stdout_bytes(self, runner, tmp_path, line):
+        target = tmp_path / "out"
+        shown = runner.invoke(cli, line.split())
+        written = runner.invoke(cli, line.split() + ["--output", str(target)])
+        assert written.exit_code == shown.exit_code
+        assert written.stdout_bytes == b""
+        assert target.read_bytes() == shown.stdout_bytes
+
+    @pytest.mark.parametrize("line", EVERY)
+    def test_no_carriage_returns(self, runner, line):
+        assert b"\r" not in runner.invoke(cli, line.split()).stdout_bytes

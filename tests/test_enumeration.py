@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from crossroads import (
+    ENUMERATE_CEILING,
     ORACLE_CEILING,
     CeilingExceededError,
     CountJob,
@@ -208,3 +209,11 @@ class TestClassifiedStream:
         assert list(classified_stream(0)) == [(Partition(0, ()), classify(Partition(0, ())))]
         assert list(classified_stream(0, Kind.LONELY)) == list(classified_stream(0))
         assert list(classified_stream(0, Kind.MARRIAGEABLE)) == []
+
+    def test_ceiling(self):
+        first = next(noncrossing_partitions(ENUMERATE_CEILING))
+        assert first.blocks == tuple((i,) for i in range(1, ENUMERATE_CEILING + 1))
+        assert next(classified_stream(ENUMERATE_CEILING, Kind.MARRIAGEABLE))[0] == first
+        for stream in (noncrossing_partitions, classified_stream):
+            with pytest.raises(CeilingExceededError):
+                next(stream(ENUMERATE_CEILING + 1))
