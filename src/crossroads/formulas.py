@@ -2,7 +2,8 @@
 
 Exact integer formulas for Catalan numbers and for the number of noncrossing
 partitions of [n] with m blocks and no singleton (or exactly one singleton),
-plus the two lower bounds they imply for the lonely and marriageable counts.
+plus two lower bounds for the lonely and marriageable counts, built from the
+Riordan numbers that sum the no-singleton counts over m.
 Every division is an exact integer division guarded by an assertion, so a
 transcription slip cannot round its way past the tests.
 """
@@ -72,26 +73,33 @@ def nc_count_enumerated(n: int, m: int, k: int) -> int:
     return count
 
 
-def _no_singleton_total(length: int) -> int:
-    """Noncrossing partitions of [length] with no singleton at all.
+def _riordan(n: int) -> "list[int]":
+    """R_0..R_n, where R_k counts the noncrossing partitions of [k] with no singleton.
 
-    The empty partition counts for length 0, which is exactly what the
-    segment products in the marriageable bound need.
+    These are the Riordan numbers (OEIS A005043), the sums over m of
+    nc_count(k, m, 0), with R_0 = 1 for the empty partition. They obey
+    (k+1) R_k = (k-1) (2 R_{k-1} + 3 R_{k-2}) from R_0 = 1, R_1 = 0.
     """
-    return sum(nc_count(length, m, 0) for m in range(0, length // 2 + 1))
+    riordan = [1, 0][: n + 1]
+    for k in range(2, n + 1):
+        num = (k - 1) * (2 * riordan[k - 1] + 3 * riordan[k - 2])
+        assert num % (k + 1) == 0
+        riordan.append(num // (k + 1))
+    return riordan
 
 
 def lower_bound_lonely(n: int) -> int:
     """Count of noncrossing partitions of [n] with at most one singleton.
 
     Any such partition is lonely for lack of a mergeable pair, so this is a
-    lower bound for the lonely count.
+    lower bound for the lonely count. A lone singleton sits at any of the n
+    positions without crossing the singleton-free rest, so the count is
+    R_n + n R_{n-1}.
     """
     if n < 2:
         raise ValueError("bound defined for n >= 2")
-    zero = sum(nc_count(n, m, 0) for m in range(1, n // 2 + 1))
-    one = sum(nc_count(n, m, 1) for m in range(2, (n + 1) // 2 + 1))
-    return zero + one
+    riordan = _riordan(n)
+    return riordan[n] + n * riordan[n - 1]
 
 
 def lower_bound_marriageable(n: int) -> int:
@@ -99,16 +107,14 @@ def lower_bound_marriageable(n: int) -> int:
 
     For a mergeable pair at positions i < j, the elements strictly between
     i and j and the elements outside [i, j] form independent noncrossing
-    partitions with no singleton, of sizes j-i-1 and n+i-j-1. Summing the
-    products over all pairs gives a lower bound for the marriageable count.
+    partitions with no singleton, of sizes d-1 and n-d-1 where d = j-i.
+    The n-d pairs at distance d each give R_{n-d-1} R_{d-1}, and summing
+    over d gives a lower bound for the marriageable count.
     """
     if n < 3:
         raise ValueError("bound defined for n >= 3")
-    total = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            total += _no_singleton_total(n + i - j - 1) * _no_singleton_total(j - i - 1)
-    return total
+    riordan = _riordan(n)
+    return sum((n - d) * riordan[n - d - 1] * riordan[d - 1] for d in range(1, n))
 
 
 def two_digits(num: int, den: int) -> str:

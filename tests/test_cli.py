@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from crossroads import ENUMERATE_CEILING, catalan
+from crossroads import COUNT_CEILING, ENUMERATE_CEILING, catalan
 from crossroads.cli import cli
 
 
@@ -46,6 +47,13 @@ class TestCount:
         result = runner.invoke(cli, ["count", "--n", "1000", "--format", "json"])
         assert result.exit_code == 0
         assert json.loads(result.output)["total"] == str(catalan(1000))
+
+    def test_at_the_ceiling_in_seconds(self, runner):
+        started = time.monotonic()
+        result = runner.invoke(cli, ["count", "--n", str(COUNT_CEILING), "--format", "json"])
+        assert time.monotonic() - started < 5
+        assert result.exit_code == 0
+        assert json.loads(result.output)["total"] == str(catalan(COUNT_CEILING))
 
     def test_output_file(self, runner, tmp_path):
         target = tmp_path / "count.json"
@@ -221,6 +229,13 @@ class TestBounds:
         assert "0 violations" in result.output
         assert "lonely_bound n=10: 2923 <= 7415 ok" in result.output
         assert "two_step n=8: 3545 <= 9381 ok" in result.output
+
+    def test_300_in_seconds(self, runner):
+        started = time.monotonic()
+        result = runner.invoke(cli, ["bounds", "--max-n", "300"])
+        assert time.monotonic() - started < 20
+        assert result.exit_code == 0
+        assert result.output.rstrip().endswith(" 0 violations")
 
     def test_json_structure(self, runner):
         result = runner.invoke(cli, ["bounds", "--max-n", "6", "--format", "json"])

@@ -1,8 +1,12 @@
 import hashlib
+from collections import Counter
+from math import comb
+from operator import mul
 
 import pytest
 
 from crossroads import (
+    COUNT_CEILING,
     ENUMERATE_CEILING,
     ORACLE_CEILING,
     CeilingExceededError,
@@ -22,7 +26,7 @@ from crossroads import (
     tally,
     tally_range,
 )
-from crossroads.enumeration import _lonely_exact_root, _lonely_series
+from crossroads.enumeration import _LONELY_RECURRENCE, _LONELY_START
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -48,6 +52,122 @@ COMPUTED = {
     13: (266553, 476347, 742900),
     14: (895333, 1779107, 2674440),
 }
+
+# The lonely cubic P(x, R) = 0 of _lonely_series: row j holds the
+# coefficients in x of R^j.
+CUBIC = ((-1, -1), (1, 2, 3), (0, -2, -3, -2), (0, 0, 1, 2, 1))
+
+
+# Reference counters for the recurrence that ``tally`` runs. Neither is
+# package code: the series reads the lonely numbers off the cubic, the
+# memoized walk counts the four-move construction with exact flags.
+
+
+def _lonely_series(max_n: int) -> "list[int]":
+    """L_0..L_max_n, read off the lonely generating function R(x) = sum L_n x^n.
+
+    A partition is lonely exactly when every region holds at most one
+    singleton. A block of size m >= 2 with its m - 1 gaps filled is
+    B = x^2 R / (1 - x R), a region without a singleton is R0 = 1 / (1 - B),
+    and a region with at most one is R = R0 + x R0^2. Eliminating B and R0,
+
+        x^2 (1+x)^2 R^3 - x (2+3x+2x^2) R^2 + (1+2x+3x^2) R - (1+x) = 0.
+
+    The coefficient of x^n in that equation holds L_n once, with factor 1,
+    and otherwise only earlier coefficients of R, R^2 and R^3, so the terms
+    follow one by one in O(max_n^2) exact integer steps without recursion.
+    """
+    if max_n > COUNT_CEILING:
+        raise CeilingExceededError(
+            f"the lonely series is capped at n={COUNT_CEILING}, got {max_n}"
+        )
+    r: list[int] = []
+    r2: list[int] = []  # coefficients of R^2
+    r3: list[int] = []  # coefficients of R^3
+
+    def coeff(seq: list[int], k: int) -> int:
+        return seq[k] if k >= 0 else 0
+
+    for n in range(max_n + 1):
+        r.append(
+            (n <= 1)
+            - 2 * coeff(r, n - 1) - 3 * coeff(r, n - 2)
+            + 2 * coeff(r2, n - 1) + 3 * coeff(r2, n - 2) + 2 * coeff(r2, n - 3)
+            - coeff(r3, n - 2) - 2 * coeff(r3, n - 3) - coeff(r3, n - 4)
+        )
+        r2.append(sum(map(mul, r, reversed(r))))
+        r3.append(sum(map(mul, r, reversed(r2))))
+    return r
+
+
+def _lonely_exact_root(n: int) -> int:
+    """Lonely count of [n] by walking the four-move construction, memoized.
+
+    The state is (r, d, bits, g): r positions left, d open blocks, bit t of
+    ``bits`` the current-gap singleton flag of the open block at stack depth
+    t, and g the top-level region flag. A move that would drop a second
+    singleton into a flagged region is pruned. Shares nothing with the
+    series; the test suite compares the two.
+    """
+    return _lonely_exact_inner(n, 0, 0, 0, {})
+
+
+def _lonely_exact_inner(r: int, d: int, bits: int, g: int, memo: dict) -> int:
+    if d > r:
+        return 0
+    if r == 0:
+        return 1
+    key = (r, d, bits, g)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    top = 1 << d
+    # open a new block: one more stack slot, unflagged
+    count = _lonely_exact_inner(r - 1, d + 1, bits, g, memo)
+    if d == 0:
+        if g == 0:
+            count += _lonely_exact_inner(r - 1, 0, 0, 1, memo)
+    else:
+        top >>= 1
+        if not bits & top:
+            count += _lonely_exact_inner(r - 1, d, bits | top, g, memo)
+        # extend top, keep open: its gap flag resets
+        count += _lonely_exact_inner(r - 1, d, bits & ~top, g, memo)
+        # extend top, close: flag leaves with the block
+        count += _lonely_exact_inner(r - 1, d - 1, bits & ~top, g, memo)
+    memo[key] = count
+    return count
+
+
+# Polynomials in x and R with integer coefficients, as {(i, j): c} for c x^i R^j.
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    out = Counter()
+    for (i, j), c in a.items():
+        for (k, l), e in b.items():
+            out[i + k, j + l] += c * e
+    return {key: c for key, c in out.items() if c}
+
+
+def _plin(*terms: "tuple[int, dict]") -> dict:
+    """The sum of c * a over the (c, a) pairs."""
+    out = Counter()
+    for c, a in terms:
+        for key, v in a.items():
+            out[key] += c * v
+    return {key: c for key, c in out.items() if c}
+
+
+def _pdiff(a: dict, var: int) -> dict:
+    """The partial derivative in x (var 0) or in R (var 1)."""
+    out = {}
+    for key, c in a.items():
+        if key[var]:
+            lowered = list(key)
+            lowered[var] -= 1
+            out[tuple(lowered)] = key[var] * c
+    return out
 
 
 class TestAllSetPartitions:
@@ -158,6 +278,67 @@ class TestMachines:
         series = _lonely_series(30)
         for n in range(0, 31):
             assert _lonely_exact_root(n) == series[n]
+
+
+class TestLonelyRecurrence:
+    def test_certified_by_the_cubic(self):
+        """sum_k p_k(n) L_{n-k} = 0 holds for every n >= 5, not only where it was fitted.
+
+        With theta = x d/dx, the operator Omega = sum_k x^k p_k(theta + k)
+        maps R = sum L_n x^n to sum_n c_n x^n, c_n = sum_{k<=n} p_k(n) L_{n-k},
+        so the recurrence with its start values says Omega R = Q, the
+        polynomial of c_0..c_4. R' = -P_x / P_R gives theta^j R as
+        N_j(x, R) / P_R^(2j-1), so F = P_R^7 (Omega R - Q) is a polynomial in
+        x and R. Its pseudo-remainder by P in R is 0, so F(x, R(x)) = 0, and
+        P_R(0, 1) = 1 makes P_R(x, R(x)) invertible: Omega R = Q.
+        """
+        x, r = {(1, 0): 1}, {(0, 1): 1}
+        cubic = {(i, j): c for j, row in enumerate(CUBIC) for i, c in enumerate(row) if c}
+        px, pr = _pdiff(cubic, 0), _pdiff(cubic, 1)
+        assert sum(c for (i, _), c in pr.items() if i == 0) == 1
+        pr_powers = [{(0, 0): 1}]
+        for _ in range(7):
+            pr_powers.append(_pmul(pr_powers[-1], pr))
+        # d/dx F(x, R(x)) = (F_x P_R - F_R P_x) / P_R
+        d_pr = _plin((1, _pmul(_pdiff(pr, 0), pr)), (-1, _pmul(_pdiff(pr, 1), px)))
+        theta = [_pmul(r, pr_powers[7])]  # theta^j R, all over P_R^7
+        num, power = _plin((-1, _pmul(x, px))), 1
+        for _ in range(4):
+            theta.append(_pmul(num, pr_powers[7 - power]))
+            d_num = _plin((1, _pmul(_pdiff(num, 0), pr)), (-1, _pmul(_pdiff(num, 1), px)))
+            num = _plin((1, _pmul(_pmul(x, pr), d_num)), (-power, _pmul(_pmul(x, num), d_pr)))
+            power += 2
+
+        def p(k: int, n: int) -> int:
+            return sum(a * n**d for d, a in enumerate(_LONELY_RECURRENCE[k]))
+
+        q = {
+            (n, 0): sum(p(k, n) * _LONELY_START[n - k] for k in range(n + 1))
+            for n in range(len(_LONELY_START))
+        }
+        terms = [(-1, _pmul(q, pr_powers[7]))]
+        for k, row in enumerate(_LONELY_RECURRENCE):
+            for j in range(len(row)):
+                # coefficient of t^j in p_k(t + k)
+                b = sum(a * comb(d, j) * k ** (d - j) for d, a in enumerate(row) if d >= j)
+                terms.append((b, _pmul({(k, 0): 1}, theta[j])))
+        f = _plin(*terms)
+        # pseudo-division: scale by P's leading coefficient, cancel the top power of R
+        lead = {(i, 0): c for (i, j), c in cubic.items() if j == 3}
+        while f and (top := max(j for _, j in f)) >= 3:
+            head = {(i, top - 3): c for (i, j), c in f.items() if j == top}
+            f = _plin((1, _pmul(lead, f)), (-1, _pmul(head, cubic)))
+        assert f == {}
+
+    def test_leading_coefficient_has_no_root_from_5(self):
+        # every complex root of p_0 is below Cauchy's bound 1 + max |a_d / a_4|
+        row = _LONELY_RECURRENCE[0]
+        bound = 1 + max(abs(a) for a in row[:-1]) / abs(row[-1])
+        assert bound < 8
+        assert all(sum(a * n**d for d, a in enumerate(row)) for n in range(5, 8))
+
+    def test_equals_the_series_through_600(self):
+        assert [t.lonely for t in tally_range(600)] == _lonely_series(600)
 
 
 class TestJobsAndValidation:

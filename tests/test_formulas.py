@@ -120,6 +120,21 @@ class TestLowerBounds:
         with pytest.raises(ValueError):
             lower_bound_marriageable(2)
 
+    def test_riordan_forms_equal_the_nc_count_sums(self):
+        # the bounds as sums of nc_count over blocks, and over pairs (i, j)
+        no_singleton = [sum(nc_count(k, m, 0) for m in range(k // 2 + 1)) for k in range(60)]
+        for n in range(2, 60):
+            zero = sum(nc_count(n, m, 0) for m in range(1, n // 2 + 1))
+            one = sum(nc_count(n, m, 1) for m in range(2, (n + 1) // 2 + 1))
+            assert lower_bound_lonely(n) == zero + one, n
+        for n in range(3, 60):
+            pairs = sum(
+                no_singleton[n + i - j - 1] * no_singleton[j - i - 1]
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+            )
+            assert lower_bound_marriageable(n) == pairs, n
+
     def test_bounds_hold_against_tallies(self):
         tallies = tally_range(14)
         for n in range(2, 15):
