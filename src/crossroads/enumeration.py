@@ -42,7 +42,7 @@ ORACLE_CEILING = 10
 
 COUNT_CEILING = 2000
 """Largest n accepted by tally and tally_range. On a 2-vCPU host with CPython 3.11,
-``count --n 2000`` takes about 0.3 s and ``bounds --max-n 2000`` about 12 s."""
+``count --n 2000`` takes about 0.3 s and ``bounds --max-n 2000`` about 6 s."""
 
 ENUMERATE_CEILING = 500
 """Largest n accepted by noncrossing_partitions and classified_stream; the walker

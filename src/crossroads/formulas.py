@@ -10,7 +10,6 @@ transcription slip cannot round its way past the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, localcontext
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -73,19 +72,22 @@ def nc_count_enumerated(n: int, m: int, k: int) -> int:
     return count
 
 
+_RIORDAN = [1, 0]
+
+
 def _riordan(n: int) -> "list[int]":
     """R_0..R_n, where R_k counts the noncrossing partitions of [k] with no singleton.
 
     These are the Riordan numbers (OEIS A005043), the sums over m of
     nc_count(k, m, 0), with R_0 = 1 for the empty partition. They obey
     (k+1) R_k = (k-1) (2 R_{k-1} + 3 R_{k-2}) from R_0 = 1, R_1 = 0.
+    One module-level list holds every term computed so far and grows on demand.
     """
-    riordan = [1, 0][: n + 1]
-    for k in range(2, n + 1):
-        num = (k - 1) * (2 * riordan[k - 1] + 3 * riordan[k - 2])
+    for k in range(len(_RIORDAN), n + 1):
+        num = (k - 1) * (2 * _RIORDAN[k - 1] + 3 * _RIORDAN[k - 2])
         assert num % (k + 1) == 0
-        riordan.append(num // (k + 1))
-    return riordan
+        _RIORDAN.append(num // (k + 1))
+    return _RIORDAN[: n + 1]
 
 
 def lower_bound_lonely(n: int) -> int:
@@ -118,13 +120,13 @@ def lower_bound_marriageable(n: int) -> int:
 
 
 def two_digits(num: int, den: int) -> str:
-    """Render num/den with exactly two fractional digits, round half up."""
+    """Render num/den with exactly two fractional digits, round half up, in exact integers."""
     if den == 0:
         raise ZeroDivisionError("ratio denominator is zero")
-    with localcontext() as ctx:
-        ctx.prec = 50
-        q = (Decimal(num) / Decimal(den)).quantize(Decimal("0.01"), ROUND_HALF_UP)
-    return str(q)
+    if num < 0 or den < 0:
+        raise ValueError("two_digits renders nonnegative ratios only")
+    hundredths = (200 * num + den) // (2 * den)
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 @dataclass(frozen=True)

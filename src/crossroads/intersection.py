@@ -113,15 +113,11 @@ def is_msl(lanes: "Iterable[Lane]", n: int) -> bool:
         _check_lane(lane, n)
     if not _pairwise_noncrossing(lane_tuple, n):
         return False
-    present = set(lane_tuple)
-    for e in range(1, n + 1):
-        for x in range(1, n + 1):
-            cand = Lane(e, x)
-            if cand in present:
-                continue
-            if not any(lanes_cross(cand, l, n) for l in lane_tuple):
-                return False
-    return True
+    # a lane already in the set shares its endpoints with itself, so it counts as crossing
+    return all(
+        any(lanes_cross(Lane(e, x), l, n) for l in lane_tuple)
+        for e in range(1, n + 1) for x in range(1, n + 1)
+    )
 
 
 def partition_to_msl(p: Partition) -> Msl:
@@ -168,16 +164,14 @@ def is_absolute(m: Msl) -> bool:
     """No pair of U-turns can be rewired into E_i>X_j, E_j>X_i and still be an MSL.
 
     The rewired set keeps one lane per entry and per exit, so it is an MSL
-    exactly when it is pairwise noncrossing.
+    exactly when it is pairwise noncrossing. The kept lanes are noncrossing
+    already, as lanes of an MSL, and the two new chords nest (for i < j,
+    2i-1 < 2i < 2j-1 < 2j), so only the new lanes against the kept ones
+    need a test: O(n) per pair of U-turns.
     """
-    uturns = m.u_turns
-    if len(uturns) < 2:
-        return True
-    for i, j in combinations(uturns, 2):
-        swapped = [l for l in m.lanes if not (l.is_u_turn and l.entry in (i, j))]
-        swapped.append(Lane(i, j))
-        swapped.append(Lane(j, i))
-        if _pairwise_noncrossing(tuple(swapped), m.n):
+    for i, j in combinations(m.u_turns, 2):
+        kept = [l for l in m.lanes if l.entry not in (i, j)]
+        if not any(lanes_cross(new, l, m.n) for new in (Lane(i, j), Lane(j, i)) for l in kept):
             return False
     return True
 
@@ -185,9 +179,11 @@ def is_absolute(m: Msl) -> bool:
 def enumerate_msl(n: int) -> Iterator[Msl]:
     """Every MSL of the size-n intersection, by exhaustive search.
 
-    Builds the compatibility graph over all n*n lanes and streams its
-    maximal cliques (Bron-Kerbosch via networkx), so the enumeration is
-    independent of the partition bijection. Capped by MSL_CEILING.
+    Lists the maximal cliques of the graph on all n*n lanes in which two
+    lanes fit when they do not cross (Bron-Kerbosch, pivoting as Tomita et
+    al.), independently of the partition bijection. Msl validation of each
+    clique shows, up to the ceiling, that maximal noncrossing lane sets are
+    perfect matchings of entries to exits. Capped by MSL_CEILING.
     """
     if n < 1:
         raise ValueError("intersection size must be positive")
@@ -195,17 +191,19 @@ def enumerate_msl(n: int) -> Iterator[Msl]:
         raise CeilingExceededError(
             f"enumerate_msl is capped at n={MSL_CEILING}, got {n}"
         )
-    import networkx as nx
-
     lanes = [Lane(e, x) for e in range(1, n + 1) for x in range(1, n + 1)]
-    graph = nx.Graph()
-    graph.add_nodes_from(lanes)
-    for a, b in combinations(lanes, 2):
-        if not lanes_cross(a, b, n):
-            graph.add_edge(a, b)
-    cliques = [
-        tuple(sorted(c, key=lambda l: (l.entry, l.exit))) for c in nx.find_cliques(graph)
-    ]
-    cliques.sort(key=lambda lanes: tuple((l.entry, l.exit) for l in lanes))
-    for clique in cliques:
+    fits = {a: {b for b in lanes if not lanes_cross(a, b, n)} for a in lanes}
+
+    def cliques(clique: "list[Lane]", candidates: set, excluded: set) -> Iterator["list[Lane]"]:
+        if not candidates and not excluded:
+            yield clique
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & fits[u]))
+        for lane in candidates - fits[pivot]:
+            yield from cliques(clique + [lane], candidates & fits[lane], excluded & fits[lane])
+            candidates = candidates - {lane}
+            excluded = excluded | {lane}
+
+    found = cliques([], set(lanes), set())
+    for clique in sorted(found, key=lambda c: sorted((l.entry, l.exit) for l in c)):
         yield Msl(n, clique)

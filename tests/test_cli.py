@@ -92,6 +92,12 @@ class TestTable:
         result = runner.invoke(cli, ["table", "--max-n", "5"])
         assert len(result.output.splitlines()) == 7
 
+    def test_csv_to_the_ceiling(self, runner):
+        # ratio cells past 48 integer digits, from n = 1584 on, once ended in a traceback
+        result = runner.invoke(cli, ["table", "--max-n", "2000", "--format", "csv"])
+        assert result.exit_code == 0
+        assert len(result.output.splitlines()) == 2002
+
 
 class TestVerify:
     def test_trivial_row_matches(self, runner):
@@ -299,6 +305,23 @@ class TestIntersectionCommand:
         assert result.exit_code == 65
         assert result.stdout_bytes == b""
 
+    def test_runs_with_networkx_blocked(self):
+        # the clique route needs no graph library: an import of networkx would fail here
+        code = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "from crossroads import enumerate_msl\n"
+            "from crossroads.cli import main\n"
+            "assert len(list(enumerate_msl(7))) == 429\n"
+            "sys.argv = ['crossroads', 'intersection', '--n', '7', '--format', 'csv']\n"
+            "main()\n"
+        )
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert _sha256(proc.stdout) == TestGoldenBytes.GOLDEN["intersection --n 7 --format csv"][1]
+
 
 class TestBfile:
     def test_golden_lines(self, runner):
@@ -407,6 +430,9 @@ class TestGoldenBytes:
         "intersection --n 1 --format text": (0, "4469c55bb960d51e690801a82e504aa293b2249c76d8d4fd38a39f0fa538a38a"),
         "intersection --n 1 --format json": (0, "bc12be48a942a6d3c1d65f23560b7e1447565483781aa9a53033cad9c83ef96a"),
         "intersection --n 1 --format csv": (0, "10a2ebe73cc21f8f07c7b745a9528720b3ee93c189b45bab150eeb549c4e21c3"),
+        "intersection --n 7 --format text": (0, "4b4e33ffb82120c5122d63c8fe90e132d7b17291a4a586f9590b4540ccaebeaf"),
+        "intersection --n 7 --format json": (0, "a4887618535a070d0c829808aade946cac7578fedb3ee15d946a63d9aa7b4b6c"),
+        "intersection --n 7 --format csv": (0, "b3d5ff61e79b272428e98edd357cb443200c5631eb4e1c986b6ed20630ada51f"),
         "bfile --seq L --max-n 20": (0, "dab5a6e13cfef02a12168eab734a42182b178c894733a342311cc4b06fd572cd"),
         "bfile --seq M --max-n 20": (0, "1347e296218558183c41308c71b92af358e30593fbdd1cebfef405ab45e45a7f"),
     }

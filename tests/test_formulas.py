@@ -1,4 +1,6 @@
 from collections import Counter
+from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -163,6 +165,34 @@ class TestTwoDigits:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             two_digits(1, 0)
+
+    def test_negative_ratio_rejected(self):
+        # floor division would round a negative ratio the wrong way
+        for num, den in [(-1, 4), (1, -4)]:
+            with pytest.raises(ValueError):
+                two_digits(num, den)
+
+    def test_every_ratio_cell_to_the_ceiling_is_exact_half_up(self):
+        def half_up(num, den):
+            hundredths = floor(Fraction(num, den) * 100 + Fraction(1, 2))
+            return f"{hundredths // 100}.{hundredths % 100:02d}"
+
+        tallies = tally_range(2000)
+        rows = ratio_report(2000, tallies)
+        for row, t, prev in zip(rows[1:], tallies[1:], tallies):
+            assert (row.ratio_l, row.ratio_m, row.m_over_l, row.m_over_c) == (
+                half_up(t.lonely, prev.lonely),
+                half_up(t.marriageable, prev.marriageable) if prev.marriageable else None,
+                half_up(t.marriageable, t.lonely),
+                half_up(t.marriageable, t.total),
+            ), t.n
+
+    def test_no_double_rounding_at_1536(self):
+        # a 50-digit decimal quotient rounded this cell up to ...463.85
+        t = tally_range(1536)[1536]
+        assert two_digits(t.marriageable, t.lonely) == (
+            "36744562331121396386719774819155148907170233463.84"
+        )
 
 
 class TestRatioReport:

@@ -151,7 +151,7 @@ class TestEnumerateMsl:
         assert sum(1 for m in msls if is_absolute(m)) == 9
 
     def test_matches_bijection_image(self, nc_lists):
-        for n in range(1, 6):
+        for n in range(1, MSL_CEILING + 1):
             enumerated = set(enumerate_msl(n))
             image = {partition_to_msl(p) for p in nc_lists(n)}
             assert enumerated == image
