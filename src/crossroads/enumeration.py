@@ -334,9 +334,10 @@ def tally_range(max_n: int) -> "list[Tally]":
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     tallies = []
+    total = 1
     for n, lonely in enumerate(_lonely_numbers(max_n)):
-        total = catalan(n)
         tallies.append(Tally(n, lonely, total - lonely, total))
+        total = total * 2 * (2 * n + 1) // (n + 2)  # C_{n+1} = C_n * 2(2n+1) / (n+2), exactly
     return tallies
 
 

@@ -67,14 +67,32 @@ def _pairwise_noncrossing(lanes: "tuple[Lane, ...]", n: int) -> bool:
     return not any(lanes_cross(a, b, n) for a, b in combinations(lanes, 2))
 
 
+def _nested(lanes: "Iterable[Lane]", n: int) -> bool:
+    """Whether lanes ending once at each of the 2n positions nest like parentheses.
+
+    For chords with distinct endpoints this is being pairwise noncrossing.
+    """
+    other = [0] * (2 * n + 1)
+    for lane in lanes:
+        p, q = lane.chord()
+        other[p], other[q] = q, p
+    open_ends = []
+    for pos in range(1, 2 * n + 1):
+        if other[pos] > pos:
+            open_ends.append(other[pos])
+        elif open_ends.pop() != pos:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Msl:
     """A maximal set of lanes on a size-n intersection.
 
     Validates on construction: exactly n lanes, every entry and every exit
-    used exactly once, pairwise noncrossing. Those conditions already force
-    maximality, since any further lane would reuse an endpoint and a common
-    point counts as a crossing.
+    used exactly once, chords nested like parentheses (with distinct
+    endpoints, that is pairwise noncrossing). These force maximality: any
+    further lane would reuse an endpoint, and a common point is a crossing.
     """
 
     n: int
@@ -94,7 +112,7 @@ class Msl:
         exits = sorted(l.exit for l in self.lanes)
         if entries != list(range(1, self.n + 1)) or exits != list(range(1, self.n + 1)):
             raise ValueError("each entry and each exit must be used exactly once")
-        if not _pairwise_noncrossing(tuple(self.lanes), self.n):
+        if not _nested(self.lanes, self.n):
             raise ValueError("lanes cross")
 
     @property
@@ -165,13 +183,15 @@ def is_absolute(m: Msl) -> bool:
 
     The rewired set keeps one lane per entry and per exit, so it is an MSL
     exactly when it is pairwise noncrossing. The kept lanes are noncrossing
-    already, as lanes of an MSL, and the two new chords nest (for i < j,
-    2i-1 < 2i < 2j-1 < 2j), so only the new lanes against the kept ones
-    need a test: O(n) per pair of U-turns.
+    already and the two new chords nest (for i < j, 2i-1 < 2i < 2j-1 < 2j).
+    Kept U-turns join adjacent positions and cross neither; any other kept
+    chord misses 2i and 2j-1, so it crosses E_j>X_i just when it crosses
+    E_i>X_j: only (2i-1, 2j) is tested, O(n) per pair of U-turns.
     """
+    chords = [l.chord() for l in m.lanes if not l.is_u_turn]
     for i, j in combinations(m.u_turns, 2):
-        kept = [l for l in m.lanes if l.entry not in (i, j)]
-        if not any(lanes_cross(new, l, m.n) for new in (Lane(i, j), Lane(j, i)) for l in kept):
+        a, b = 2 * i - 1, 2 * j
+        if not any((a < p < b) != (a < q < b) for p, q in chords):
             return False
     return True
 

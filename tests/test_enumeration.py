@@ -265,6 +265,9 @@ class TestTally:
         with pytest.raises(ValueError):
             tally_range(-1)
 
+    def test_range_totals_are_catalan_through_300(self):
+        assert [t.total for t in tally_range(300)] == [catalan(n) for n in range(301)]
+
     def test_monotone_growth(self):
         tallies = tally_range(14)
         for n in range(2, 14):

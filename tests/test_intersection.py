@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 
 from crossroads import (
@@ -87,6 +89,16 @@ class TestMslValue:
         with pytest.raises(ValueError):
             Msl(0, [])
 
+    def test_scan_agrees_with_the_definition(self):
+        for n in range(1, 7):
+            for exits in permutations(range(1, n + 1)):
+                lanes = [Lane(e, x) for e, x in enumerate(exits, 1)]
+                if is_msl(lanes, n):
+                    assert Msl(n, lanes).lanes == frozenset(lanes)
+                else:
+                    with pytest.raises(ValueError, match="^lanes cross$"):
+                        Msl(n, lanes)
+
 
 class TestIsMsl:
     def test_figure_2_is_msl(self):
@@ -140,6 +152,15 @@ class TestAbsolute:
 
     def test_no_u_turns_is_absolute(self):
         assert is_absolute(Msl(2, [Lane(1, 2), Lane(2, 1)]))
+
+    def test_matches_the_definition(self):
+        def rewired(m, i, j):
+            return [l for l in m.lanes if l.entry not in (i, j)] + [Lane(i, j), Lane(j, i)]
+
+        for n in range(1, 7):
+            for m in enumerate_msl(n):
+                rewirable = any(is_msl(rewired(m, i, j), n) for i, j in combinations(m.u_turns, 2))
+                assert is_absolute(m) == (not rewirable)
 
 
 class TestEnumerateMsl:
