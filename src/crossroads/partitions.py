@@ -149,20 +149,22 @@ class NestingForest:
     region_singletons: "dict[tuple[int, int] | None, tuple[int, ...]]"
 
 
+def _block_ends(p: Partition) -> "tuple[list[int], list[int], list[int]]":
+    """Block index of each position 1..n, and the first and last element of each block."""
+    block_of = [0] * (p.n + 1)
+    for idx, block in enumerate(p.blocks):
+        for x in block:
+            block_of[x] = idx
+    return block_of, [b[0] for b in p.blocks], [b[-1] for b in p.blocks]
+
+
 def is_noncrossing(p: Partition) -> bool:
     """Linear-time noncrossing test via a single scan with a stack.
 
     Walking positions 1..n, a block must sit on top of the stack whenever it
     receives a further element; anything else certifies a crossing.
     """
-    block_of = {}
-    first = {}
-    last = {}
-    for idx, block in enumerate(p.blocks):
-        first[idx] = block[0]
-        last[idx] = block[-1]
-        for x in block:
-            block_of[x] = idx
+    block_of, first, last = _block_ends(p)
     stack: list[int] = []
     for pos in range(1, p.n + 1):
         b = block_of[pos]
@@ -191,14 +193,7 @@ def is_noncrossing_definitional(p: Partition) -> bool:
 
 def nesting_forest(p: Partition) -> NestingForest:
     """Build the enclosure forest and singleton regions in one scan."""
-    block_of = {}
-    first = {}
-    last = {}
-    for idx, block in enumerate(p.blocks):
-        first[idx] = block[0]
-        last[idx] = block[-1]
-        for x in block:
-            block_of[x] = idx
+    block_of, first, last = _block_ends(p)
     parent: dict[int, int | None] = {}
     regions: dict[tuple[int, int] | None, list[int]] = {}
     placed = [0] * len(p.blocks)

@@ -306,7 +306,7 @@ class TestIntersectionCommand:
         assert result.stdout_bytes == b""
 
     def test_runs_with_networkx_blocked(self):
-        # the clique route needs no graph library: an import of networkx would fail here
+        # the lane sets come from the partition walker, no graph library: an import of networkx would fail here
         code = (
             "import sys\n"
             "sys.modules['networkx'] = None\n"
@@ -430,6 +430,12 @@ class TestGoldenBytes:
         "intersection --n 1 --format text": (0, "4469c55bb960d51e690801a82e504aa293b2249c76d8d4fd38a39f0fa538a38a"),
         "intersection --n 1 --format json": (0, "bc12be48a942a6d3c1d65f23560b7e1447565483781aa9a53033cad9c83ef96a"),
         "intersection --n 1 --format csv": (0, "10a2ebe73cc21f8f07c7b745a9528720b3ee93c189b45bab150eeb549c4e21c3"),
+        "intersection --n 5 --format text": (0, "4f7faf193953fc958366ee26aa6b62067222c6b40bd275225f772eeb7339cdff"),
+        "intersection --n 5 --format json": (0, "774c41deb36a4b383863d4d054baa3530f9a63bae9062712bfa87f96b52043e2"),
+        "intersection --n 5 --format csv": (0, "032f5c261dca62f505f7924d4b662f76983ae09a8669d0c4dde5b5f7558b02aa"),
+        "intersection --n 6 --format text": (0, "b812b938ed5cb8e38f2b5c5298a1e233101bf8fc6de966271e0a17f764d38f0a"),
+        "intersection --n 6 --format json": (0, "96d9f4e90c613771983aecad79fb177a98b8e2488f5518a5c93464b96f9a9e37"),
+        "intersection --n 6 --format csv": (0, "e87a607f67e02ac81aae24912bec90409a3c1b6a87019fa9c12b9addb0553384"),
         "intersection --n 7 --format text": (0, "4b4e33ffb82120c5122d63c8fe90e132d7b17291a4a586f9590b4540ccaebeaf"),
         "intersection --n 7 --format json": (0, "a4887618535a070d0c829808aade946cac7578fedb3ee15d946a63d9aa7b4b6c"),
         "intersection --n 7 --format csv": (0, "b3d5ff61e79b272428e98edd357cb443200c5631eb4e1c986b6ed20630ada51f"),

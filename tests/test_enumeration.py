@@ -31,10 +31,13 @@ from crossroads.enumeration import _LONELY_RECURRENCE, _LONELY_START
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
 # Frozen counts from this implementation, cross-checked four independent
-# ways before freezing: the definitional recount over all set partitions,
-# the absolute-MSL count, the restricted-intersection clique count, and the
-# four-move walk with exact per-block flags. Rows up to n = 9 also agree with
-# the published reference table; see reference.py for the rows beyond that.
+# ways, each run by the tests over the range named: the definitional recount
+# over all set partitions (oracle_tally, n <= 10, here and in test_acceptance),
+# the four-move walk with exact per-block flags (stream_tally, n <= 14, here
+# and in test_acceptance), the absolute-MSL count (test_intersection, n <= 6)
+# and the maximal-clique count of the U-turn-free intersection
+# (test_intersection, n <= 7). Rows up to n = 9 also agree with the published
+# reference table; see reference.py for the rows beyond that.
 COMPUTED = {
     0: (1, 0, 1),
     1: (1, 0, 1),

@@ -1,4 +1,5 @@
 from itertools import combinations, permutations
+from typing import Iterator
 
 import pytest
 
@@ -8,10 +9,12 @@ from crossroads import (
     Lane,
     Msl,
     Partition,
+    catalan,
     classify_fast,
     enumerate_msl,
     is_absolute,
     is_msl,
+    is_noncrossing_definitional,
     lanes_cross,
     msl_to_partition,
     partition_to_msl,
@@ -22,6 +25,32 @@ from crossroads import CountJob
 
 def P(text):
     return Partition.from_text(text)
+
+
+def maximal_cliques(lanes: "list[Lane]", n: int) -> Iterator["list[Lane]"]:
+    """Every maximal pairwise-noncrossing subset of ``lanes``, by exhaustive search.
+
+    Lists the maximal cliques of the graph on ``lanes`` in which two lanes
+    fit when they do not cross (Bron-Kerbosch, pivoting as Tomita et al.),
+    independently of the partition walker and the lane bijection.
+    """
+    fits = {a: {b for b in lanes if not lanes_cross(a, b, n)} for a in lanes}
+
+    def cliques(clique: "list[Lane]", candidates: set, excluded: set) -> Iterator["list[Lane]"]:
+        if not candidates and not excluded:
+            yield clique
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & fits[u]))
+        for lane in candidates - fits[pivot]:
+            yield from cliques(clique + [lane], candidates & fits[lane], excluded & fits[lane])
+            candidates = candidates - {lane}
+            excluded = excluded | {lane}
+
+    return cliques([], set(lanes), set())
+
+
+def all_lanes(n):
+    return [Lane(e, x) for e in range(1, n + 1) for x in range(1, n + 1)]
 
 
 FIGURE_2 = Msl(4, [Lane(1, 3), Lane(3, 2), Lane(2, 1), Lane(4, 4)])
@@ -137,6 +166,21 @@ class TestBijection:
             for p in nc_lists(n):
                 assert msl_to_partition(partition_to_msl(p)) == p
 
+    def test_every_msl_comes_from_a_noncrossing_partition(self):
+        # why msl_to_partition need not recheck its result for crossings
+        for n in range(1, 7):
+            accepted = 0
+            for exits in permutations(range(1, n + 1)):
+                try:
+                    m = Msl(n, [Lane(e, x) for e, x in enumerate(exits, 1)])
+                except ValueError:
+                    continue
+                accepted += 1
+                p = msl_to_partition(m)
+                assert is_noncrossing_definitional(p)
+                assert partition_to_msl(p) == m
+            assert accepted == catalan(n)
+
     def test_image_is_valid_msl(self, nc_lists):
         for p in nc_lists(5):
             m = partition_to_msl(p)
@@ -171,11 +215,13 @@ class TestEnumerateMsl:
         assert len(msls) == 14
         assert sum(1 for m in msls if is_absolute(m)) == 9
 
-    def test_matches_bijection_image(self, nc_lists):
+    def test_matches_bijection_image(self):
+        # the clique search confirms the bijection image, order included, up to the ceiling;
+        # Msl() accepting every clique shows that maximal lane sets are perfect matchings
         for n in range(1, MSL_CEILING + 1):
-            enumerated = set(enumerate_msl(n))
-            image = {partition_to_msl(p) for p in nc_lists(n)}
-            assert enumerated == image
+            found = maximal_cliques(all_lanes(n), n)
+            cliques = sorted(found, key=lambda c: sorted((l.entry, l.exit) for l in c))
+            assert list(enumerate_msl(n)) == [Msl(n, c) for c in cliques]
 
     def test_absolute_iff_lonely(self):
         for n in range(1, 6):
@@ -187,6 +233,12 @@ class TestEnumerateMsl:
         for n in range(1, 7):
             absolute = sum(1 for m in enumerate_msl(n) if is_absolute(m))
             assert absolute == tally(CountJob(n)).lonely
+
+    def test_u_turn_free_cliques_count_lonely(self):
+        # README route 4: maximal lane sets of the intersection without U-turns
+        for n in range(1, MSL_CEILING + 1):
+            lanes = [l for l in all_lanes(n) if not l.is_u_turn]
+            assert sum(1 for _ in maximal_cliques(lanes, n)) == tally(CountJob(n)).lonely
 
     def test_u_turn_free_implies_absolute(self):
         for n in range(1, 7):
