@@ -71,7 +71,7 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
     bools are true/false, partition and lanes are quoted.
     json: ``document(records)`` as one line, each record ``dict(zip(columns,
     row))`` with large integers as strings (:func:`_jnum`); without
-    ``document``, one object per row and line.
+    ``document``, one object per row and line, encoded cells in one template.
     text: with ``width``, a header and the cells right-aligned to it, bools as
     yes/no; otherwise ``line(*row)`` per row, then ``summary`` if given.
     """
@@ -90,8 +90,9 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
             records = [{c: _jnum(v) for c, v in zip(columns, row)} for row in rows]
             put(_encode(document(records)) + "\n")
         elif fmt == "json":
+            template = "{{" + ",".join(_encode(c) + ":{}" for c in columns) + "}}\n"
             for row in rows:
-                put(_encode(dict(zip(columns, row))) + "\n")
+                put(template.format(*map(_encode, row)))
         elif width:
             for row in itertools.chain([columns], rows):
                 put(" ".join(_cell(v, ("no", "yes")).rjust(width) for v in row) + "\n")

@@ -137,13 +137,17 @@ def _walk(n: int, kind: "Kind | None") -> "Iterator[tuple[Partition, Classificat
     singleton in a region gives the mergeable pair (first, pos), and the
     least pair found is the witness :func:`classify` returns. LONELY prunes
     every prefix holding a pair; MARRIAGEABLE skips the lonely leaves.
+    Beside each block the walk keeps its text, so a leaf costs one tuple and
+    one join; the partition is built unchecked by ``Partition._canonical``.
     """
     if n > ENUMERATE_CEILING:
         raise CeilingExceededError(
             f"enumeration is capped at n={ENUMERATE_CEILING}, got {n}"
         )
-    blocks: list[list[int]] = []
-    stack: list[list[int]] = []  # the open blocks, innermost last
+    names = [str(x) for x in range(n + 1)]
+    blocks: list[tuple[int, ...]] = []
+    texts: list[str] = []  # each block's text, e.g. "1,4,5"
+    stack: list[int] = []  # indices of the open blocks, innermost last
     firsts: list[int] = []  # first singleton of each open block's current gap
     lonely_only = kind is Kind.LONELY
     marriageable_only = kind is Kind.MARRIAGEABLE
@@ -152,7 +156,7 @@ def _walk(n: int, kind: "Kind | None") -> "Iterator[tuple[Partition, Classificat
         if pos > n:
             if witness is not None or not marriageable_only:
                 c = _LONELY if witness is None else Classification(Kind.MARRIAGEABLE, witness)
-                yield Partition._canonical(n, tuple([tuple(b) for b in blocks])), c
+                yield Partition._canonical(n, tuple(blocks), "/".join(texts)), c
             return
         # every open block needs a later element, so depth <= positions left
         remaining = n - pos + 1
@@ -160,7 +164,8 @@ def _walk(n: int, kind: "Kind | None") -> "Iterator[tuple[Partition, Classificat
         if depth:
             top = stack.pop()
             first = firsts.pop()
-            top.append(pos)
+            block, text = blocks[top], texts[top]
+            blocks[top], texts[top] = block + (pos,), text + "," + names[pos]
             # close the top block here: its last gap ends with it
             yield from walk(pos + 1, root, witness)
             stack.append(top)
@@ -170,11 +175,12 @@ def _walk(n: int, kind: "Kind | None") -> "Iterator[tuple[Partition, Classificat
                 firsts[-1] = 0
                 yield from walk(pos + 1, root, witness)
                 firsts[-1] = first
-            top.pop()
+            blocks[top], texts[top] = block, text
         if depth < remaining:
             # a singleton in the innermost region
             first = firsts[-1] if depth else root
-            blocks.append([pos])
+            blocks.append((pos,))
+            texts.append(names[pos])
             if first:
                 if not lonely_only:
                     pair = (first, pos)
@@ -186,16 +192,18 @@ def _walk(n: int, kind: "Kind | None") -> "Iterator[tuple[Partition, Classificat
             else:
                 yield from walk(pos + 1, pos, witness)
             blocks.pop()
+            texts.pop()
         if depth + 1 < remaining:
             # open a new block
-            block = [pos]
-            blocks.append(block)
-            stack.append(block)
+            stack.append(len(blocks))
+            blocks.append((pos,))
+            texts.append(names[pos])
             firsts.append(0)
             yield from walk(pos + 1, root, witness)
             firsts.pop()
             stack.pop()
             blocks.pop()
+            texts.pop()
 
     return walk(1, 0, None)
 

@@ -30,12 +30,14 @@ class Partition:
     """A set partition of {1, ..., n} in canonical form.
 
     Blocks are stored as ascending tuples, ordered by their minimum element.
-    Construction canonicalizes and validates, so two partitions are equal
+    Construction canonicalizes and validates (only the enumeration walker
+    skips both, through :meth:`_canonical`), so two partitions are equal
     exactly when they partition the same ground set the same way.
     """
 
     n: int
     blocks: tuple[tuple[int, ...], ...]
+    _text = None  # slash form stored by _canonical; not a field, so ==, hash and repr ignore it
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
@@ -44,16 +46,17 @@ class Partition:
         self._validate()
 
     @classmethod
-    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "Partition":
-        """A partition from blocks already in canonical form; validated, not re-sorted.
+    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...], text: str) -> "Partition":
+        """A partition from the walker's blocks and their slash form, neither checked.
 
-        For the generator's own output, whose blocks are ascending and opened
-        in order of their minimum.
+        The walker opens blocks in order of their minimum, grows them upward
+        and covers 1..n; ``test_walker_partitions_are_canonical`` checks its
+        output and text against ``Partition(n, blocks)`` through n = 10.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)
-        self._validate()
+        object.__setattr__(self, "_text", text)
         return self
 
     def _validate(self) -> None:
@@ -64,7 +67,7 @@ class Partition:
             if not block:
                 raise ValueError("empty block")
             for x in block:
-                if not isinstance(x, int) or x < 1 or x > self.n:
+                if type(x) is not int or x < 1 or x > self.n:
                     raise ValueError(f"element {x!r} outside 1..{self.n}")
                 if x in seen:
                     raise ValueError(f"element {x} appears twice")
@@ -93,6 +96,8 @@ class Partition:
 
     def to_text(self) -> str:
         """Inverse of :meth:`from_text`."""
+        if self._text is not None:
+            return self._text
         return "/".join([",".join(map(str, b)) for b in self.blocks])
 
     @property

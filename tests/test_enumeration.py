@@ -387,9 +387,14 @@ class TestClassifiedStream:
         self._assert_stream_equals(10, classify_fast)
 
     def test_walker_partitions_are_canonical(self):
+        # _canonical trusts the walker: this is the check it does not make
         for n in range(11):
+            for kind in (None, Kind.LONELY, Kind.MARRIAGEABLE):
+                for p, _ in classified_stream(n, kind):
+                    checked = Partition(p.n, p.blocks)
+                    assert p == checked and p.to_text() == checked.to_text(), (n, kind)
+                    assert Partition.from_text(p.to_text()) == p, (n, kind)
             items = list(classified_stream(n))
-            assert all(p == Partition(p.n, p.blocks) for p, _ in items), n
             assert list(noncrossing_partitions(n)) == [p for p, _ in items], n
 
     def test_empty_ground_set(self):

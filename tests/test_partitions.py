@@ -62,6 +62,11 @@ class TestPartitionValue:
         with pytest.raises(ValueError):
             Partition(3, [[1, 3]])
 
+    def test_rejects_bools(self):
+        for blocks in ([[True], [2]], [[1], [2, True]], [[False], [1, 2]]):
+            with pytest.raises(ValueError):
+                Partition(2, blocks)
+
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             Partition(-1, [])
@@ -70,6 +75,12 @@ class TestPartitionValue:
         for n in range(0, 6):
             for p in nc_lists(n):
                 assert Partition.from_text(p.to_text()) == p
+
+    def test_text_of_a_constructed_partition(self):
+        p = Partition(11, [[11, 2], [10], [3, 1, 9], [4, 5, 6, 7, 8]])
+        assert p.to_text() == "1,3,9/2,11/4,5,6,7,8/10"
+        assert str(p) == p.to_text()
+        assert str(Partition(0, [])) == "(empty)"
 
     def test_from_text_examples(self):
         assert P("1,2/3/4").blocks == ((1, 2), (3,), (4,))
