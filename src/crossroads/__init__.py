@@ -51,7 +51,6 @@ from .partitions import (
     CeilingExceededError,
     Classification,
     Kind,
-    NestingForest,
     Partition,
     absorb_into_first,
     absorb_into_last,
@@ -59,7 +58,6 @@ from .partitions import (
     add_singleton_pair,
     can_merge,
     classify,
-    classify_fast,
     grow_lonely,
     grow_marriageable,
     is_noncrossing,
@@ -82,7 +80,6 @@ __all__ = [
     "MAX_PUBLISHED_N",
     "MSL_CEILING",
     "Msl",
-    "NestingForest",
     "ORACLE_CEILING",
     "Partition",
     "SEQUENCE_IDS",
@@ -97,7 +94,6 @@ __all__ = [
     "catalan",
     "classified_stream",
     "classify",
-    "classify_fast",
     "enumerate_msl",
     "grow_lonely",
     "grow_marriageable",

@@ -24,6 +24,7 @@ brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import mul
 from typing import Iterator
 
@@ -33,7 +34,7 @@ from .partitions import (
     Classification,
     Kind,
     Partition,
-    classify,
+    can_merge,
     is_noncrossing_definitional,
 )
 
@@ -317,9 +318,11 @@ def tally(job: CountJob) -> Tally:
 
 
 def oracle_tally(n: int) -> Tally:
-    """Brute-force tally: all set partitions, quartic filter, definitional classify.
+    """Brute-force tally: all set partitions, quartic filter, merge-and-recheck.
 
-    Slow by design; used only in tests and capped by ORACLE_CEILING.
+    A partition is lonely when no pair of its singletons passes :func:`can_merge`,
+    the definition itself, so the recount does not use the region scan behind
+    :func:`classify`. Slow by design; used only in tests, capped by ORACLE_CEILING.
     """
     if n > ORACLE_CEILING:
         raise CeilingExceededError(
@@ -330,7 +333,7 @@ def oracle_tally(n: int) -> Tally:
     for p in all_set_partitions(n):
         if not is_noncrossing_definitional(p):
             continue
-        if classify(p).is_lonely:
+        if not any(can_merge(p, i, j) for i, j in combinations(p.singletons, 2)):
             lonely += 1
         else:
             marriageable += 1

@@ -92,7 +92,7 @@ class Msl:
     """A maximal set of lanes on a size-n intersection.
 
     Validates on construction: exactly n lanes, every entry and every exit
-    used exactly once, chords nested like parentheses (with distinct
+    an int used exactly once, chords nested like parentheses (with distinct
     endpoints, that is pairwise noncrossing). These force maximality: any
     further lane would reuse an endpoint, and a common point is a crossing.
     """
@@ -112,6 +112,8 @@ class Msl:
             raise ValueError(f"an MSL of size {self.n} has exactly {self.n} lanes")
         entries = sorted(l.entry for l in self.lanes)
         exits = sorted(l.exit for l in self.lanes)
+        if set(map(type, entries + exits)) != {int}:
+            raise ValueError("entries and exits must be ints")
         if entries != list(range(1, self.n + 1)) or exits != list(range(1, self.n + 1)):
             raise ValueError("each entry and each exit must be used exactly once")
         if not _nested(self.lanes, self.n):

@@ -9,16 +9,16 @@ is a *lonely singles* partition.
 
 The module provides the canonical :class:`Partition` value, the noncrossing
 predicates (a linear scan and the quartic definitional oracle), the merge
-test, both classifiers, the nesting forest that powers the fast classifier,
-and six constructive maps that grow classified partitions by one or two
-elements while preserving their class.
+test that states the definition, one classifier that reads the singleton
+regions from a single scan, and six constructive maps that grow classified
+partitions by one or two elements while preserving their class.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class CeilingExceededError(ValueError):
@@ -80,17 +80,18 @@ class Partition:
     def from_text(cls, text: str) -> "Partition":
         """Parse the slash form, e.g. ``1,2/3/4``; empty string is [0].
 
-        Rejects duplicates, gaps, and anything that is not a partition of a
-        contiguous range 1..n.
+        Elements are ASCII digits without sign, space, underscore or leading
+        zero, as :meth:`to_text` writes them. Rejects duplicates, gaps, and
+        anything that is not a partition of a contiguous range 1..n.
         """
-        text = text.strip()
         if not text:
             return cls(0, ())
         blocks = []
         for part in text.split("/"):
-            if not part:
-                raise ValueError("empty block in partition text")
-            blocks.append([int(tok) for tok in part.split(",")])
+            tokens = part.split(",")
+            if not all(t.isascii() and t.isdigit() and t[0] != "0" for t in tokens):
+                raise ValueError(f"malformed block {part!r} in partition text")
+            blocks.append(list(map(int, tokens)))
         n = max(max(b) for b in blocks)
         return cls(n, blocks)
 
@@ -129,29 +130,6 @@ class Classification:
     @property
     def is_lonely(self) -> bool:
         return self.kind is Kind.LONELY
-
-
-@dataclass(frozen=True)
-class NestingForest:
-    """Enclosure structure of a noncrossing partition.
-
-    ``parent`` maps each block index to the index of its inclusion-minimal
-    enclosing block, or None for top-level blocks.
-
-    ``region_singletons`` groups singleton positions by region. A region is
-    identified by ``(block index, gap index)`` where the gap index says how
-    many elements of the enclosing block lie to the singleton's left, or by
-    ``None`` for the single top-level region. Two singletons can be merged
-    into a pair block without creating a crossing exactly when they belong
-    to the same region: any block with an element strictly between the two
-    singletons and another element outside their span would cross the merged
-    pair, and equal regions rule exactly that out. Note the region is finer
-    than the parent block alone, because elements of the enclosing block
-    also separate its gaps.
-    """
-
-    parent: "dict[int, int | None]"
-    region_singletons: "dict[tuple[int, int] | None, tuple[int, ...]]"
 
 
 def _block_ends(p: Partition) -> "tuple[list[int], list[int], list[int]]":
@@ -196,30 +174,30 @@ def is_noncrossing_definitional(p: Partition) -> bool:
     return True
 
 
-def nesting_forest(p: Partition) -> NestingForest:
-    """Build the enclosure forest and singleton regions in one scan."""
+def nesting_forest(p: Partition) -> "dict[tuple[int, int] | None, tuple[int, ...]]":
+    """Group the singletons of a noncrossing partition by region, in one scan.
+
+    A region is ``(block index, gap index)``, the gap index counting the
+    elements of the enclosing block to the singleton's left, or ``None`` for
+    the top level; see :func:`classify`.
+    """
     block_of, first, last = _block_ends(p)
-    parent: dict[int, int | None] = {}
     regions: dict[tuple[int, int] | None, list[int]] = {}
     placed = [0] * len(p.blocks)
     stack: list[int] = []
     for pos in range(1, p.n + 1):
         b = block_of[pos]
         if pos == first[b]:
-            parent[b] = stack[-1] if stack else None
             if pos == last[b]:
                 key = (stack[-1], placed[stack[-1]]) if stack else None
                 regions.setdefault(key, []).append(pos)
             stack.append(b)
         elif not stack or stack[-1] != b:
-            raise ValueError("nesting forest requires a noncrossing partition")
+            raise ValueError("classification requires a noncrossing partition")
         placed[b] += 1
         if pos == last[b]:
             stack.pop()
-    return NestingForest(
-        parent=parent,
-        region_singletons={k: tuple(v) for k, v in regions.items()},
-    )
+    return {k: tuple(v) for k, v in regions.items()}
 
 
 def merge_singletons(p: Partition, i: int, j: int) -> Partition:
@@ -248,42 +226,31 @@ def _require_singleton_pair(p: Partition, i: int, j: int) -> None:
 
 
 def classify(p: Partition) -> Classification:
-    """Definitional classifier: try every singleton pair via :func:`can_merge`.
+    """Classify a noncrossing partition from its singleton regions, in linear time.
 
-    Returns the lexicographically smallest mergeable pair as witness. A
-    partition with fewer than two singleton blocks is always lonely.
+    A region is the top level or one gap of one block (see
+    :func:`nesting_forest`). Two singletons can be merged into a pair block
+    without creating a crossing exactly when they share a region: any block
+    with an element strictly between the two singletons and another element
+    outside their span would cross the merged pair, and equal regions rule
+    exactly that out. The region is finer than the enclosing block alone,
+    because elements of that block also separate its gaps. So the partition
+    is marriageable exactly when some region holds two or more singletons,
+    and the witness, the lexicographically smallest mergeable pair, is the
+    least first two members of such a region. Raises ValueError on a
+    crossing partition.
     """
-    if not is_noncrossing(p):
-        raise ValueError("classification requires a noncrossing partition")
-    singles = p.singletons
-    for i, j in combinations(singles, 2):
-        if can_merge(p, i, j):
-            return Classification(Kind.MARRIAGEABLE, (i, j))
-    return Classification(Kind.LONELY)
-
-
-def classify_fast(p: Partition) -> Classification:
-    """Classifier via the nesting forest, linear after forest construction.
-
-    Two singletons merge cleanly exactly when they share a region (see
-    :class:`NestingForest`), so the partition is marriageable exactly when
-    some region holds at least two singletons. Agrees with :func:`classify`
-    including the witness.
-    """
-    forest = nesting_forest(p)
-    best: tuple[int, int] | None = None
-    for members in forest.region_singletons.values():
-        if len(members) >= 2:
-            pair = (members[0], members[1])
-            if best is None or pair < best:
-                best = pair
-    if best is None:
+    pairs = [members[:2] for members in nesting_forest(p).values() if len(members) >= 2]
+    if not pairs:
         return Classification(Kind.LONELY)
-    return Classification(Kind.MARRIAGEABLE, best)
+    return Classification(Kind.MARRIAGEABLE, min(pairs))
+
+
+classify_fast = classify  # kept only because bench/tracer.py wraps this name
 
 
 def _require_kind(p: Partition, kind: Kind, who: str) -> None:
-    found = classify_fast(p).kind
+    found = classify(p).kind
     if found is not kind:
         raise ValueError(f"{who} requires a {kind.value} partition, got {found.value}")
 

@@ -5,7 +5,8 @@ kept verbatim in ``crossroads.reference`` and compared, not trusted: rows
 0..9 must be reproduced exactly, and rows 10..14, which a brute-force
 recount from the definition refutes, must show up as errata whose computed
 side equals that recount. The recount is ``oracle_tally(10)`` (all set
-partitions, quartic crossing filter, merge-and-recheck ``classify``) and
+partitions, quartic crossing filter, a partition lonely when no singleton
+pair passes ``can_merge``) and
 ``stream_tally(11..14)``; neither shares code with the counting recurrence, and
 it is computed once per session.
 
@@ -19,7 +20,10 @@ it is computed once per session.
   computed counts; the cells with n >= 10 follow the recount, and those
   that differ from the published table are listed.
 
-The other six criteria hold independently of the published table.
+The other six criteria hold independently of the published table. Among
+them, criterion 3 checks ``classify``, the one classifier, against the
+merge-and-recheck ``classify_definitional`` of ``conftest`` on every
+noncrossing partition with n <= 10.
 """
 import functools
 import time
@@ -28,6 +32,7 @@ from itertools import combinations, zip_longest
 
 from click.testing import CliRunner
 
+from conftest import classify_definitional
 from crossroads import (
     CountJob,
     Kind,
@@ -36,10 +41,8 @@ from crossroads import (
     absorb_into_last,
     add_pair_block,
     add_singleton_pair,
-    can_merge,
     catalan,
     classify,
-    classify_fast,
     enumerate_msl,
     grow_lonely,
     grow_marriageable,
@@ -166,15 +169,15 @@ def test_criterion_3_oracle_equivalence():
     if mismatch is None:
         for n in range(0, 11):
             for p in noncrossing_partitions(n):
-                if classify_fast(p) != classify(p):
-                    mismatch = f"classify_fast disagrees on {p.to_text()!r}"
+                if classify(p) != classify_definitional(p):
+                    mismatch = f"classify disagrees with merge-and-recheck on {p.to_text()!r}"
                     break
                 checked += 1
             if mismatch:
                 break
     ok = mismatch is None
     detail = mismatch or (
-        f"oracle tallies match for n<=9; classifiers agree on {checked} partitions (n<=10)"
+        f"oracle tallies match for n<=9; classify agrees with merge-and-recheck on {checked} partitions (n<=10)"
     )
     report(3, "oracle equivalence", ok, detail)
 
@@ -250,8 +253,8 @@ def test_criterion_7_injection_maps():
     problem = None
     for n in range(0, 8):
         parts = list(noncrossing_partitions(n))
-        lonely = [p for p in parts if classify_fast(p).is_lonely]
-        marriageable = [p for p in parts if not classify_fast(p).is_lonely]
+        lonely = [p for p in parts if classify(p).is_lonely]
+        marriageable = [p for p in parts if not classify(p).is_lonely]
         f_img = {grow_lonely(p) for p in lonely}
         g_img = {grow_marriageable(p) for p in marriageable}
         h_img = {add_singleton_pair(p) for p in parts}
@@ -266,14 +269,14 @@ def test_criterion_7_injection_maps():
         ):
             problem = f"two-element map not injective at n={n}"
             break
-        if any(not classify_fast(q).is_lonely for q in f_img):
+        if any(not classify(q).is_lonely for q in f_img):
             problem = f"grow_lonely image leaves the lonely class at n={n}"
             break
         wrong = [
             q
             for img in (g_img, h_img, i_img, j_img, k_img)
             for q in img
-            if classify_fast(q).is_lonely
+            if classify(q).is_lonely
         ]
         if wrong:
             problem = f"a marriageable-image map produced {wrong[0].to_text()!r} at n={n}"

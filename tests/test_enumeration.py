@@ -5,6 +5,7 @@ from operator import mul
 
 import pytest
 
+from conftest import classify_definitional
 from crossroads import (
     COUNT_CEILING,
     ENUMERATE_CEILING,
@@ -18,7 +19,6 @@ from crossroads import (
     catalan,
     classified_stream,
     classify,
-    classify_fast,
     is_noncrossing,
     noncrossing_partitions,
     oracle_tally,
@@ -381,10 +381,10 @@ class TestClassifiedStream:
 
     def test_walker_matches_the_definitional_classifier(self):
         for n in range(10):
-            self._assert_stream_equals(n, classify)
+            self._assert_stream_equals(n, classify_definitional)
 
     def test_walker_matches_the_forest_classifier_at_10(self):
-        self._assert_stream_equals(10, classify_fast)
+        self._assert_stream_equals(10, classify)
 
     def test_walker_partitions_are_canonical(self):
         # _canonical trusts the walker: this is the check it does not make

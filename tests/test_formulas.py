@@ -9,7 +9,7 @@ from crossroads import (
     SequenceRow,
     Tally,
     catalan,
-    classify_fast,
+    classify,
     lower_bound_lonely,
     lower_bound_marriageable,
     nc_count,
@@ -114,7 +114,7 @@ class TestLowerBounds:
             direct = sum(
                 1
                 for p in nc_lists(n)
-                if len(p.singletons) == 2 and not classify_fast(p).is_lonely
+                if len(p.singletons) == 2 and not classify(p).is_lonely
             )
             assert lower_bound_marriageable(n) == direct
 

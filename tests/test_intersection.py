@@ -10,7 +10,7 @@ from crossroads import (
     Msl,
     Partition,
     catalan,
-    classify_fast,
+    classify,
     enumerate_msl,
     is_absolute,
     is_msl,
@@ -117,6 +117,12 @@ class TestMslValue:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             Msl(0, [])
+
+    def test_rejects_bools(self):
+        # True == 1, so only the type check tells these lanes from Lane(1, 1)
+        for lane in (Lane(True, True), Lane(True, 1), Lane(1, True)):
+            with pytest.raises(ValueError):
+                Msl(1, [lane])
 
     def test_scan_agrees_with_the_definition(self):
         for n in range(1, 7):
@@ -226,7 +232,7 @@ class TestEnumerateMsl:
     def test_absolute_iff_lonely(self):
         for n in range(1, 6):
             for m in enumerate_msl(n):
-                lonely = classify_fast(msl_to_partition(m)).is_lonely
+                lonely = classify(msl_to_partition(m)).is_lonely
                 assert is_absolute(m) == lonely
 
     def test_absolute_count_is_lonely_count(self):

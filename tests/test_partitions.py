@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import classify_definitional
 from crossroads import (
     Kind,
     Partition,
@@ -14,7 +15,6 @@ from crossroads import (
     all_set_partitions,
     can_merge,
     classify,
-    classify_fast,
     grow_lonely,
     grow_marriageable,
     is_noncrossing,
@@ -87,7 +87,7 @@ class TestPartitionValue:
         assert P("") == Partition(0, [])
 
     def test_from_text_rejects_garbage(self):
-        for bad in ("1//2", "0", "1/1", "1,3", "2/3", "a", "1,2/"):
+        for bad in ("1//2", "0", "1/1", "1,3", "2/3", "a", "1,2/", " 1 ,+2/0_3", "1,+2", "1_0", "01"):
             with pytest.raises(ValueError):
                 Partition.from_text(bad)
 
@@ -114,25 +114,18 @@ class TestNoncrossing:
 
 class TestNestingForest:
     def test_two_singletons_under_one_block(self):
-        forest = nesting_forest(P("1,4/2/3"))
-        assert forest.parent == {0: None, 1: 0, 2: 0}
-        assert forest.region_singletons == {(0, 1): (2, 3)}
+        assert nesting_forest(P("1,4/2/3")) == {(0, 1): (2, 3)}
 
     def test_singletons_in_different_regions(self):
-        forest = nesting_forest(P("1,3/2/4"))
-        assert forest.parent == {0: None, 1: 0, 2: None}
-        assert forest.region_singletons == {(0, 1): (2,), None: (4,)}
+        assert nesting_forest(P("1,3/2/4")) == {(0, 1): (2,), None: (4,)}
 
     def test_single_singleton(self):
-        forest = nesting_forest(P("1"))
-        assert forest.parent == {0: None}
-        assert forest.region_singletons == {None: (1,)}
+        assert nesting_forest(P("1")) == {None: (1,)}
 
     def test_gaps_of_one_block_are_distinct_regions(self):
         # 2 and 4 share the innermost enclosing block {1,3,5} but sit in
         # different gaps of it, so they must not share a region
-        forest = nesting_forest(P("1,3,5/2/4"))
-        assert forest.region_singletons == {(0, 1): (2,), (0, 2): (4,)}
+        assert nesting_forest(P("1,3,5/2/4")) == {(0, 1): (2,), (0, 2): (4,)}
 
     def test_rejects_crossing(self):
         with pytest.raises(ValueError):
@@ -141,8 +134,7 @@ class TestNestingForest:
     def test_every_singleton_in_exactly_one_region(self, nc_lists):
         for n in range(0, 8):
             for p in nc_lists(n):
-                forest = nesting_forest(p)
-                members = [x for v in forest.region_singletons.values() for x in v]
+                members = [x for v in nesting_forest(p).values() for x in v]
                 assert sorted(members) == list(p.singletons)
 
 
@@ -192,33 +184,32 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(Partition(4, [[1, 3], [2, 4]]))
 
-    def test_fast_examples(self):
-        assert classify_fast(P("1,4/2/3")) == classify(P("1,4/2/3"))
-        assert classify_fast(P("1,4/2/3")).witness == (2, 3)
-        assert classify_fast(P("1,3/2/4")).kind is Kind.LONELY
-        assert classify_fast(P("1/2")).witness == (1, 2)
+    def test_region_examples(self):
+        assert classify(P("1,4/2/3")) == classify_definitional(P("1,4/2/3"))
+        assert classify(P("1,4/2/3")).witness == (2, 3)
+        assert classify(P("1,3/2/4")).kind is Kind.LONELY
+        assert classify(P("1/2")).witness == (1, 2)
 
     def test_fewer_than_two_singletons_is_lonely(self, nc_lists):
         for p in nc_lists(5):
             if len(p.singletons) < 2:
-                assert classify_fast(p).kind is Kind.LONELY
+                assert classify(p).kind is Kind.LONELY
 
-    def test_fast_agrees_with_definitional(self, nc_lists):
+    def test_agrees_with_definitional(self, nc_lists):
         for n in range(0, 9):
             for p in nc_lists(n):
-                slow = classify(p)
-                fast = classify_fast(p)
-                assert fast == slow, p
-                if fast.witness is not None:
-                    assert can_merge(p, *fast.witness)
+                c = classify(p)
+                assert c == classify_definitional(p), p
+                if c.witness is not None:
+                    assert can_merge(p, *c.witness)
 
 
 class TestMaps:
     def lonely(self, nc_lists, n):
-        return [p for p in nc_lists(n) if classify_fast(p).is_lonely]
+        return [p for p in nc_lists(n) if classify(p).is_lonely]
 
     def marriageable(self, nc_lists, n):
-        return [p for p in nc_lists(n) if not classify_fast(p).is_lonely]
+        return [p for p in nc_lists(n) if not classify(p).is_lonely]
 
     def test_grow_lonely_examples(self):
         assert grow_lonely(P("1,2/3")) == P("1,2,4/3")
@@ -258,10 +249,10 @@ class TestMaps:
             images = [grow_lonely(p) for p in dom]
             assert len(set(images)) == len(dom)
             for q in images:
-                assert classify_fast(q).is_lonely
+                assert classify(q).is_lonely
             if n >= 2:
                 outside = Partition(n + 1, [list(range(1, n + 1)), [n + 1]])
-                assert classify_fast(outside).is_lonely
+                assert classify(outside).is_lonely
                 assert outside not in set(images)
 
     def test_grow_marriageable_injective_into_marriageable(self, nc_lists):
@@ -270,12 +261,12 @@ class TestMaps:
             images = [grow_marriageable(p) for p in dom]
             assert len(set(images)) == len(dom)
             for q in images:
-                assert not classify_fast(q).is_lonely
+                assert not classify(q).is_lonely
             if n >= 3:
                 outside = Partition(
                     n + 1, [[x] for x in range(1, n)] + [[n, n + 1]]
                 )
-                assert not classify_fast(outside).is_lonely
+                assert not classify(outside).is_lonely
                 assert outside not in set(images)
 
     def test_pair_maps_disjoint_marriageable_images(self, nc_lists):
@@ -289,7 +280,7 @@ class TestMaps:
             assert len(i_img) == len(j_img) == len(k_img) == len(marr)
             for img in (h_img, i_img, j_img, k_img):
                 for q in img:
-                    assert not classify_fast(q).is_lonely
+                    assert not classify(q).is_lonely
             for a, b in combinations((h_img, i_img, j_img, k_img), 2):
                 assert not (a & b)
 
@@ -314,4 +305,4 @@ def test_property_canonical_and_classified(p):
     fast_ok = is_noncrossing(p)
     assert fast_ok == is_noncrossing_definitional(p)
     if fast_ok:
-        assert classify_fast(p) == classify(p)
+        assert classify(p) == classify_definitional(p)
