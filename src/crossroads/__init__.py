@@ -15,14 +15,10 @@ lane-model bijection.
 from .enumeration import (
     COUNT_CEILING,
     ENUMERATE_CEILING,
-    ORACLE_CEILING,
     CountJob,
     Tally,
-    all_set_partitions,
     classified_stream,
     noncrossing_partitions,
-    oracle_tally,
-    stream_tally,
     tally,
     tally_range,
 )
@@ -32,7 +28,6 @@ from .formulas import (
     lower_bound_lonely,
     lower_bound_marriageable,
     nc_count,
-    nc_count_enumerated,
     ratio_report,
     two_digits,
 )
@@ -42,8 +37,6 @@ from .intersection import (
     Msl,
     enumerate_msl,
     is_absolute,
-    is_msl,
-    lanes_cross,
     msl_to_partition,
     partition_to_msl,
 )
@@ -56,13 +49,10 @@ from .partitions import (
     absorb_into_last,
     add_pair_block,
     add_singleton_pair,
-    can_merge,
     classify,
     grow_lonely,
     grow_marriageable,
     is_noncrossing,
-    is_noncrossing_definitional,
-    merge_singletons,
     nesting_forest,
 )
 from .reference import MAX_PUBLISHED_N, SEQUENCE_IDS, published_row
@@ -80,7 +70,6 @@ __all__ = [
     "MAX_PUBLISHED_N",
     "MSL_CEILING",
     "Msl",
-    "ORACLE_CEILING",
     "Partition",
     "SEQUENCE_IDS",
     "SequenceRow",
@@ -89,8 +78,6 @@ __all__ = [
     "absorb_into_last",
     "add_pair_block",
     "add_singleton_pair",
-    "all_set_partitions",
-    "can_merge",
     "catalan",
     "classified_stream",
     "classify",
@@ -98,23 +85,16 @@ __all__ = [
     "grow_lonely",
     "grow_marriageable",
     "is_absolute",
-    "is_msl",
     "is_noncrossing",
-    "is_noncrossing_definitional",
-    "lanes_cross",
     "lower_bound_lonely",
     "lower_bound_marriageable",
-    "merge_singletons",
     "msl_to_partition",
     "nc_count",
-    "nc_count_enumerated",
     "nesting_forest",
     "noncrossing_partitions",
-    "oracle_tally",
     "partition_to_msl",
     "published_row",
     "ratio_report",
-    "stream_tally",
     "tally",
     "tally_range",
     "two_digits",

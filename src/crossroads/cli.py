@@ -17,14 +17,15 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import click
 
 from .enumeration import CountJob, classified_stream, tally, tally_range
-from .formulas import lower_bound_lonely, lower_bound_marriageable, ratio_report, two_digits
+from .formulas import SequenceRow, lower_bound_lonely, lower_bound_marriageable, ratio_report, two_digits
 from .intersection import enumerate_msl, is_absolute, msl_to_partition
 from .partitions import CeilingExceededError, Kind
+from .reference import MAX_PUBLISHED_N, published_row
 
 click.exceptions.UsageError.exit_code = 64
 
@@ -150,7 +151,7 @@ def count(n: int, fmt: str, output: "str | None"):
     )
 
 
-TABLE_CSV_HEADER = ["n", "lonely", "marriageable", "catalan", "ratio_l", "ratio_m", "m_over_l", "m_over_c"]
+TABLE_CSV_HEADER = tuple(f.name for f in fields(SequenceRow))
 
 
 @cli.command()
@@ -193,8 +194,6 @@ def verify(max_n: int, fmt: str, output: "str | None"):
 
     Exits 0 when every row matches and 2 otherwise, listing each mismatch.
     """
-    from .reference import MAX_PUBLISHED_N, published_row
-
     if max_n > MAX_PUBLISHED_N:
         raise CeilingExceededError(
             f"published reference values stop at n={MAX_PUBLISHED_N}, got {max_n}"

@@ -16,30 +16,16 @@ singletons share a region (the top level or one gap of one block).
 
 Counting visits no partition at all: the lonely numbers are the coefficients
 of an algebraic generating function, and they obey a linear recurrence with
-polynomial coefficients that yields them in O(n) exact steps. The test suite
-certifies that recurrence against the generating function and cross-checks
-it with a flags-only count over the same moves (``stream_tally``) and the
-brute-force oracle.
+polynomial coefficients that yields them in O(n) exact steps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import mul
 from typing import Iterator
 
 from .formulas import catalan
-from .partitions import (
-    CeilingExceededError,
-    Classification,
-    Kind,
-    Partition,
-    can_merge,
-    is_noncrossing_definitional,
-)
-
-ORACLE_CEILING = 10
-"""Largest n accepted by the brute-force oracle over all set partitions."""
+from .partitions import CeilingExceededError, Classification, Kind, Partition
 
 COUNT_CEILING = 2000
 """Largest n accepted by tally and tally_range. On a 2-vCPU host with CPython 3.11,
@@ -95,39 +81,6 @@ class CountJob:
             raise ValueError("n must be nonnegative")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
-
-
-def all_set_partitions(n: int) -> Iterator[Partition]:
-    """Every set partition of [n], in restricted-growth-string order.
-
-    This is the oracle substrate and deliberately brute force; n is capped
-    by ORACLE_CEILING.
-    """
-    if n > ORACLE_CEILING:
-        raise CeilingExceededError(
-            f"all_set_partitions is capped at n={ORACLE_CEILING}, got {n}"
-        )
-    if n == 0:
-        yield Partition(0, ())
-        return
-    rgs = [0] * n
-    maxes = [0] * n
-    while True:
-        nblocks = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for pos, b in enumerate(rgs, start=1):
-            blocks[b].append(pos)
-        yield Partition(n, blocks)
-        i = n - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for k in range(i + 1, n):
-            rgs[k] = 0
-            maxes[k] = maxes[k - 1]
 
 
 def _walk(n: int, kind: "Kind | None") -> "Iterator[tuple[Partition, Classification]]":
@@ -220,64 +173,6 @@ def noncrossing_partitions(n: int) -> Iterator[Partition]:
         yield p
 
 
-def stream_tally(n: int) -> Tally:
-    """Count by walking the construction tree and classifying incrementally.
-
-    Alongside the stack of open blocks the walk keeps one flag per open
-    block, marking whether the block's current gap already holds a
-    singleton, plus one flag for the top-level region. A singleton landing
-    in a flagged region makes every completion of the current prefix
-    marriageable. Used as a midsize cross-check for the recurrence; costs one
-    visit per noncrossing partition.
-    """
-    lonely = 0
-    total = 0
-    # stack entries are current-gap flags of open blocks
-    flags: list[bool] = []
-
-    def walk(pos: int, root_flag: bool, married: bool) -> None:
-        nonlocal lonely, total
-        if pos > n:
-            if not flags:
-                total += 1
-                if not married:
-                    lonely += 1
-            return
-        remaining = n - pos + 1
-        depth = len(flags)
-        if depth:
-            top = flags[-1]
-            # append to the top block and close it
-            flags.pop()
-            walk(pos + 1, root_flag, married)
-            # append and keep open: a fresh gap starts
-            if depth <= remaining - 1:
-                flags.append(False)
-                walk(pos + 1, root_flag, married)
-                flags.pop()
-            flags.append(top)
-        if depth <= remaining - 1:
-            # a singleton in the current innermost region
-            if depth:
-                hit = flags[-1]
-                flags[-1] = True
-                walk(pos + 1, root_flag, married or hit)
-                flags[-1] = hit
-            else:
-                walk(pos + 1, True, married or root_flag)
-        if depth + 1 <= remaining - 1:
-            # open a new block
-            flags.append(False)
-            walk(pos + 1, root_flag, married)
-            flags.pop()
-
-    walk(1, False, False)
-    expected = catalan(n)
-    if total != expected:
-        raise AssertionError(f"stream visited {total} partitions, expected {expected}")
-    return Tally(n, lonely, total - lonely, total)
-
-
 def _lonely_numbers(max_n: int) -> "list[int]":
     """L_0..L_max_n from the order-5 linear recurrence of the lonely numbers.
 
@@ -315,29 +210,6 @@ def tally(job: CountJob) -> Tally:
     lonely = _lonely_numbers(job.n)[-1]
     total = catalan(job.n)
     return Tally(job.n, lonely, total - lonely, total)
-
-
-def oracle_tally(n: int) -> Tally:
-    """Brute-force tally: all set partitions, quartic filter, merge-and-recheck.
-
-    A partition is lonely when no pair of its singletons passes :func:`can_merge`,
-    the definition itself, so the recount does not use the region scan behind
-    :func:`classify`. Slow by design; used only in tests, capped by ORACLE_CEILING.
-    """
-    if n > ORACLE_CEILING:
-        raise CeilingExceededError(
-            f"oracle_tally is capped at n={ORACLE_CEILING}, got {n}"
-        )
-    lonely = 0
-    marriageable = 0
-    for p in all_set_partitions(n):
-        if not is_noncrossing_definitional(p):
-            continue
-        if not any(can_merge(p, i, j) for i, j in combinations(p.singletons, 2)):
-            lonely += 1
-        else:
-            marriageable += 1
-    return Tally(n, lonely, marriageable, lonely + marriageable)
 
 
 def tally_range(max_n: int) -> "list[Tally]":

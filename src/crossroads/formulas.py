@@ -56,22 +56,6 @@ def nc_count(n: int, m: int, k: int) -> int:
     return _binom(n, m - 1) * _binom(n - m - 1, m - 2)
 
 
-def nc_count_enumerated(n: int, m: int, k: int) -> int:
-    """Oracle twin of :func:`nc_count` by exhaustive enumeration, any k."""
-    from .enumeration import ORACLE_CEILING, noncrossing_partitions
-    from .partitions import CeilingExceededError
-
-    if n > ORACLE_CEILING:
-        raise CeilingExceededError(
-            f"nc_count_enumerated is capped at n={ORACLE_CEILING}, got {n}"
-        )
-    count = 0
-    for p in noncrossing_partitions(n):
-        if len(p.blocks) == m and len(p.singletons) == k:
-            count += 1
-    return count
-
-
 _RIORDAN = [1, 0]
 
 

@@ -10,9 +10,7 @@ and an MSL is *absolute* when no two of its U-turns can be rewired into the
 pair E_i>X_j, E_j>X_i to yield another MSL. Absolute MSLs correspond exactly
 to the lonely partitions.
 
-The MSLs are listed as the image of the partition walker under the bijection;
-the test suite checks that image against a maximal-clique search over all
-n*n lanes, which shares neither the walker nor the bijection.
+The MSLs are listed as the image of the partition walker under the bijection.
 """
 from __future__ import annotations
 
@@ -46,27 +44,6 @@ class Lane:
 
     def __str__(self) -> str:
         return f"E{self.entry}>X{self.exit}"
-
-
-def _check_lane(lane: Lane, n: int) -> None:
-    if not (1 <= lane.entry <= n and 1 <= lane.exit <= n):
-        raise ValueError(f"lane {lane} outside intersection of size {n}")
-
-
-def lanes_cross(a: Lane, b: Lane, n: int) -> bool:
-    """Whether two lanes have a common point on the size-n intersection.
-
-    A shared entry or exit counts as crossing, otherwise the chords cross
-    exactly when one endpoint of b lies strictly inside a's arc and the
-    other strictly outside.
-    """
-    _check_lane(a, n)
-    _check_lane(b, n)
-    p1, q1 = a.chord()
-    p2, q2 = b.chord()
-    if len({p1, q1, p2, q2}) < 4:
-        return True
-    return (p1 < p2 < q1) != (p1 < q2 < q1)
 
 
 def _nested(lanes: "Iterable[Lane]", n: int) -> bool:
@@ -126,20 +103,6 @@ class Msl:
     def to_text(self) -> str:
         """Comma-separated ``Ei>Xj`` tokens, sorted by entry index."""
         return ",".join(str(l) for l in sorted(self.lanes, key=lambda l: l.entry))
-
-
-def is_msl(lanes: "Iterable[Lane]", n: int) -> bool:
-    """Full definition check for arbitrary lane sets, maximality included."""
-    lane_tuple = tuple(set(lanes))
-    for lane in lane_tuple:
-        _check_lane(lane, n)
-    if any(lanes_cross(a, b, n) for a, b in combinations(lane_tuple, 2)):
-        return False
-    # a lane already in the set shares its endpoints with itself, so it counts as crossing
-    return all(
-        any(lanes_cross(Lane(e, x), l, n) for l in lane_tuple)
-        for e in range(1, n + 1) for x in range(1, n + 1)
-    )
 
 
 def partition_to_msl(p: Partition) -> Msl:

@@ -7,17 +7,15 @@ replacement by the pair block {i, j} leaves the partition noncrossing is a
 *marriageable singles* partition; a noncrossing partition with no such pair
 is a *lonely singles* partition.
 
-The module provides the canonical :class:`Partition` value, the noncrossing
-predicates (a linear scan and the quartic definitional oracle), the merge
-test that states the definition, one classifier that reads the singleton
-regions from a single scan, and six constructive maps that grow classified
-partitions by one or two elements while preserving their class.
+The module provides the canonical :class:`Partition` value, a linear
+noncrossing test, one classifier that reads the singleton regions from a
+single scan, and six constructive maps that grow classified partitions by
+one or two elements while preserving their class.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 
@@ -160,20 +158,6 @@ def is_noncrossing(p: Partition) -> bool:
     return True
 
 
-def is_noncrossing_definitional(p: Partition) -> bool:
-    """Quartic oracle straight from the definition; kept for tests.
-
-    Checks every pair of blocks for interleaved element pairs a < c < b < d.
-    """
-    multi = [b for b in p.blocks if len(b) >= 2]
-    for bi, bj in combinations(multi, 2):
-        for a, b in combinations(bi, 2):
-            for c, d in combinations(bj, 2):
-                if a < c < b < d or c < a < d < b:
-                    return False
-    return True
-
-
 def nesting_forest(p: Partition) -> "dict[tuple[int, int] | None, tuple[int, ...]]":
     """Group the singletons of a noncrossing partition by region, in one scan.
 
@@ -198,31 +182,6 @@ def nesting_forest(p: Partition) -> "dict[tuple[int, int] | None, tuple[int, ...
         if pos == last[b]:
             stack.pop()
     return {k: tuple(v) for k, v in regions.items()}
-
-
-def merge_singletons(p: Partition, i: int, j: int) -> Partition:
-    """Replace singleton blocks {i} and {j} with the pair block {i, j}.
-
-    The result is re-canonicalized and may well be crossing; no noncrossing
-    guarantee is made here.
-    """
-    _require_singleton_pair(p, i, j)
-    blocks = [b for b in p.blocks if b not in ((i,), (j,))]
-    blocks.append((i, j))
-    return Partition(p.n, blocks)
-
-
-def can_merge(p: Partition, i: int, j: int) -> bool:
-    """True when merging singletons {i} and {j} keeps the partition noncrossing."""
-    return is_noncrossing(merge_singletons(p, i, j))
-
-
-def _require_singleton_pair(p: Partition, i: int, j: int) -> None:
-    if i >= j:
-        raise ValueError("expected i < j")
-    for x in (i, j):
-        if (x,) not in p.blocks:
-            raise ValueError(f"{{{x}}} is not a singleton block")
 
 
 def classify(p: Partition) -> Classification:

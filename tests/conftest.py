@@ -2,7 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from crossroads import Classification, Kind, can_merge, noncrossing_partitions
+from crossroads import Classification, Kind, noncrossing_partitions
+from crossroads.routes import can_merge
 
 
 def classify_definitional(p):

@@ -52,15 +52,14 @@ from crossroads import (
     msl_to_partition,
     nc_count,
     noncrossing_partitions,
-    oracle_tally,
     partition_to_msl,
     published_row,
     ratio_report,
-    stream_tally,
     tally,
     tally_range,
 )
 from crossroads.cli import cli
+from crossroads.routes import oracle_tally, stream_tally
 
 # Ratio cells of the published table that are printed with exactly two
 # fractional digits, keyed by column then n. Cells the table renders with

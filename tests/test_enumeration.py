@@ -9,24 +9,21 @@ from conftest import classify_definitional
 from crossroads import (
     COUNT_CEILING,
     ENUMERATE_CEILING,
-    ORACLE_CEILING,
     CeilingExceededError,
     CountJob,
     Kind,
     Partition,
     Tally,
-    all_set_partitions,
     catalan,
     classified_stream,
     classify,
     is_noncrossing,
     noncrossing_partitions,
-    oracle_tally,
-    stream_tally,
     tally,
     tally_range,
 )
 from crossroads.enumeration import _LONELY_RECURRENCE, _LONELY_START
+from crossroads.routes import ORACLE_CEILING, STREAM_CEILING, all_set_partitions, oracle_tally, stream_tally
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -251,6 +248,12 @@ class TestTally:
     def test_stream_tally_matches(self):
         for n in range(0, 11):
             assert stream_tally(n) == tally(CountJob(n))
+
+    def test_stream_ceiling(self):
+        # 1200 first: without a ceiling it recurses past the interpreter's limit at once
+        for n in (1200, STREAM_CEILING + 1):
+            with pytest.raises(CeilingExceededError):
+                stream_tally(n)
 
     def test_seed_values_pinned_through_320(self):
         # L_0..L_320 as the memoized state machine that preceded the series

@@ -13,11 +13,11 @@ from crossroads import (
     lower_bound_lonely,
     lower_bound_marriageable,
     nc_count,
-    nc_count_enumerated,
     ratio_report,
     tally_range,
     two_digits,
 )
+from crossroads.routes import nc_count_enumerated
 
 # Values frozen after checking each one against the enumeration oracle
 # (count partitions with at most one singleton, and marriageable partitions

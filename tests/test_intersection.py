@@ -13,14 +13,12 @@ from crossroads import (
     classify,
     enumerate_msl,
     is_absolute,
-    is_msl,
-    is_noncrossing_definitional,
-    lanes_cross,
     msl_to_partition,
     partition_to_msl,
     tally,
 )
 from crossroads import CountJob
+from crossroads.routes import is_msl, is_noncrossing_definitional, lanes_cross
 
 
 def P(text):

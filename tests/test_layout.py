@@ -1,0 +1,60 @@
+"""The package layout: what the CLI loads, where imports sit, what the root exports."""
+import ast
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import crossroads
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted((SRC / "crossroads").glob("*.py"))
+
+
+def _imports(tree: ast.AST):
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def _modules_named(node: "ast.Import | ast.ImportFrom") -> "list[str]":
+    """Every dotted name an import statement could load, relative ones inside the package."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = f"crossroads.{node.module}" if node.level and node.module else node.module or "crossroads"
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def test_cli_does_not_load_the_routes():
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, crossroads.cli\nprint('crossroads.routes' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_no_function_level_imports():
+    found = []
+    for path in MODULES:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}" for node in _imports(func)]
+    assert found == []
+
+
+def test_no_module_imports_routes():
+    assert "routes.py" in [path.name for path in MODULES]
+    importers = [
+        path.name for path in MODULES
+        if any("crossroads.routes" in _modules_named(node) for node in _imports(ast.parse(path.read_text())))
+    ]
+    assert importers == []
+
+
+def test_all_lists_every_public_name_of_the_root():
+    bound = {
+        name for name, value in vars(crossroads).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(crossroads.__all__) == sorted(bound)
+    assert len(set(crossroads.__all__)) == len(crossroads.__all__)
+    assert all(hasattr(crossroads, name) for name in crossroads.__all__)

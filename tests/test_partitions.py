@@ -12,16 +12,13 @@ from crossroads import (
     absorb_into_last,
     add_pair_block,
     add_singleton_pair,
-    all_set_partitions,
-    can_merge,
     classify,
     grow_lonely,
     grow_marriageable,
     is_noncrossing,
-    is_noncrossing_definitional,
-    merge_singletons,
     nesting_forest,
 )
+from crossroads.routes import all_set_partitions, can_merge, is_noncrossing_definitional, merge_singletons
 
 
 def P(text):
