@@ -10,7 +10,8 @@ either admit a valid U-turn swap or do not.
 The library enumerates and classifies partitions, counts both classes exactly
 from the coefficients of the lonely generating function far past exhaustive
 range, evaluates the proved closed formulas and lower bounds, and realizes the
-lane-model bijection.
+lane-model bijection, with a maximal lane set held as the exit of each entry
+(``Msl(exits)``).
 """
 from .enumeration import (
     COUNT_CEILING,
@@ -33,7 +34,6 @@ from .formulas import (
 )
 from .intersection import (
     MSL_CEILING,
-    Lane,
     Msl,
     enumerate_msl,
     is_absolute,
@@ -66,7 +66,6 @@ __all__ = [
     "CountJob",
     "ENUMERATE_CEILING",
     "Kind",
-    "Lane",
     "MAX_PUBLISHED_N",
     "MSL_CEILING",
     "Msl",

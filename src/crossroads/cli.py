@@ -3,8 +3,8 @@
 Eight subcommands over the library: count, table, verify, enumerate, bounds,
 conjectures, intersection, bfile. Each command hands its rows, tuples in the
 order of its column names, to one renderer, :func:`_render`, which writes text
-by default and json or csv on request (bfile: text only). Reports pass a list
-and are written in one piece; enumerate and intersection stream a generator.
+by default and json or csv on request (bfile: text only). Reports pass a list,
+enumerate and intersection stream a generator; both are written row by row.
 Exit codes: 0 success, 1 an output path could not be written, 2 a verification
 or bound check found mismatches, 64 usage errors, 65 a resource or data
 ceiling was exceeded.
@@ -67,7 +67,7 @@ def _lines(output: "str | None"):
 def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, document=None):
     """Write ``rows``, tuples in ``columns`` order, in format ``fmt``.
 
-    A stream (an iterator) is written line by line, a report (a list) at once.
+    Rows are written one by one through a buffered write.
     csv: a header, then a line per row, each ending in "\\n"; None is empty,
     bools are true/false, partition and lanes are quoted.
     json: ``document(records)`` as one line, each record ``dict(zip(columns,
@@ -76,12 +76,10 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
     text: with ``width``, a header and the cells right-aligned to it, bools as
     yes/no; otherwise ``line(*row)`` per row, then ``summary`` if given.
     """
-    report = [] if isinstance(rows, list) else None
     rows = iter(rows)
     # draw the first row before opening the output: a stream past its ceiling writes nothing
     rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
-    with _lines(output) as write:
-        put = write if report is None else report.append
+    with _lines(output) as put:
         if fmt == "csv":
             put(",".join(columns) + "\n")
             template = ",".join('"{}"' if c in _QUOTED else "{}" for c in columns) + "\n"
@@ -102,8 +100,6 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
                 put(line(*row) + "\n")
             if summary:
                 put(summary + "\n")
-        if report is not None:
-            write("".join(report))
 
 
 def _guard(func):

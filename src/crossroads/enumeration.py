@@ -94,6 +94,8 @@ def _walk(n: int, kind: "Kind | None") -> "Iterator[tuple[Partition, Classificat
     Beside each block the walk keeps its text, so a leaf costs one tuple and
     one join; the partition is built unchecked by ``Partition._canonical``.
     """
+    if n < 0:
+        raise ValueError("ground set size must be nonnegative")
     if n > ENUMERATE_CEILING:
         raise CeilingExceededError(
             f"enumeration is capped at n={ENUMERATE_CEILING}, got {n}"

@@ -1,14 +1,15 @@
-"""The road-intersection model: lanes, maximal lane sets, absoluteness.
+"""The road-intersection model: maximal lane sets and absoluteness.
 
 A standard road intersection of size n has entries E_1..E_n and exits
 X_1..X_n alternating clockwise around a circle (E_i at position 2i-1, X_j at
 position 2j). A lane is a chord from an entry to an exit; a lane from E_i to
 X_i is a U-turn. Two lanes cross when their chords interleave or touch. A
 maximal set of lanes (MSL) is a pairwise-noncrossing lane set to which no
-further lane can be added; MSLs are in bijection with noncrossing partitions,
-and an MSL is *absolute* when no two of its U-turns can be rewired into the
-pair E_i>X_j, E_j>X_i to yield another MSL. Absolute MSLs correspond exactly
-to the lonely partitions.
+further lane can be added; it has one lane per entry, so it is held as the
+exit of each entry. MSLs are in bijection with noncrossing partitions, and an
+MSL is *absolute* when no two of its U-turns can be rewired into the pair
+E_i>X_j, E_j>X_i to yield another MSL. Absolute MSLs correspond exactly to
+the lonely partitions.
 
 The MSLs are listed as the image of the partition walker under the bijection.
 """
@@ -26,37 +27,18 @@ MSL_CEILING = 7
 its output against the independent maximal-clique search over all n*n lanes."""
 
 
-@dataclass(frozen=True)
-class Lane:
-    """A directed chord from entry ``entry`` to exit ``exit``."""
+def _nested(exits: "tuple[int, ...]") -> bool:
+    """Whether the chords (2i-1, 2*exits[i-1]) nest like parentheses.
 
-    entry: int
-    exit: int
-
-    @property
-    def is_u_turn(self) -> bool:
-        return self.entry == self.exit
-
-    def chord(self) -> tuple[int, int]:
-        """Endpoints on the 2n circle, ascending."""
-        p, q = 2 * self.entry - 1, 2 * self.exit
-        return (p, q) if p < q else (q, p)
-
-    def __str__(self) -> str:
-        return f"E{self.entry}>X{self.exit}"
-
-
-def _nested(lanes: "Iterable[Lane]", n: int) -> bool:
-    """Whether lanes ending once at each of the 2n positions nest like parentheses.
-
-    For chords with distinct endpoints this is being pairwise noncrossing.
+    ``exits`` is a permutation, so each of the 2n positions ends exactly one
+    chord, and nesting is being pairwise noncrossing.
     """
-    other = [0] * (2 * n + 1)
-    for lane in lanes:
-        p, q = lane.chord()
+    other = [0] * (2 * len(exits) + 1)
+    for entry, exit in enumerate(exits, 1):
+        p, q = 2 * entry - 1, 2 * exit
         other[p], other[q] = q, p
     open_ends = []
-    for pos in range(1, 2 * n + 1):
+    for pos in range(1, len(other)):
         if other[pos] > pos:
             open_ends.append(other[pos])
         elif open_ends.pop() != pos:
@@ -66,43 +48,40 @@ def _nested(lanes: "Iterable[Lane]", n: int) -> bool:
 
 @dataclass(frozen=True)
 class Msl:
-    """A maximal set of lanes on a size-n intersection.
+    """A maximal set of lanes: the lane from E_i ends at X_{exits[i-1]}.
 
-    Validates on construction: exactly n lanes, every entry and every exit
-    an int used exactly once, chords nested like parentheses (with distinct
-    endpoints, that is pairwise noncrossing). These force maximality: any
-    further lane would reuse an endpoint, and a common point is a crossing.
+    Validates on construction: at least one lane, every exit an int, the
+    exits a permutation of 1..n, and the chords nested like parentheses
+    (with distinct endpoints, that is pairwise noncrossing). These force
+    maximality: any further lane would reuse an endpoint, and a common point
+    is a crossing.
     """
 
-    n: int
-    lanes: frozenset
+    exits: tuple[int, ...]
 
-    def __init__(self, n: int, lanes: "Iterable[Lane]"):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lanes", frozenset(lanes))
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.n < 1:
-            raise ValueError("intersection size must be positive")
-        if len(self.lanes) != self.n:
-            raise ValueError(f"an MSL of size {self.n} has exactly {self.n} lanes")
-        entries = sorted(l.entry for l in self.lanes)
-        exits = sorted(l.exit for l in self.lanes)
-        if set(map(type, entries + exits)) != {int}:
-            raise ValueError("entries and exits must be ints")
-        if entries != list(range(1, self.n + 1)) or exits != list(range(1, self.n + 1)):
-            raise ValueError("each entry and each exit must be used exactly once")
-        if not _nested(self.lanes, self.n):
+    def __init__(self, exits: Iterable[int]):
+        exits = tuple(exits)
+        object.__setattr__(self, "exits", exits)
+        if not exits:
+            raise ValueError("an MSL has at least one lane")
+        if any(type(x) is not int for x in exits):
+            raise ValueError("exits must be ints")
+        if sorted(exits) != list(range(1, len(exits) + 1)):
+            raise ValueError("the exits must be a permutation of 1..n")
+        if not _nested(exits):
             raise ValueError("lanes cross")
 
     @property
+    def n(self) -> int:
+        return len(self.exits)
+
+    @property
     def u_turns(self) -> tuple[int, ...]:
-        return tuple(sorted(l.entry for l in self.lanes if l.is_u_turn))
+        return tuple(i for i, x in enumerate(self.exits, 1) if i == x)
 
     def to_text(self) -> str:
-        """Comma-separated ``Ei>Xj`` tokens, sorted by entry index."""
-        return ",".join(str(l) for l in sorted(self.lanes, key=lambda l: l.entry))
+        """Comma-separated ``Ei>Xj`` tokens in entry order."""
+        return ",".join(f"E{i}>X{x}" for i, x in enumerate(self.exits, 1))
 
 
 def partition_to_msl(p: Partition) -> Msl:
@@ -115,12 +94,11 @@ def partition_to_msl(p: Partition) -> Msl:
         raise ValueError("the intersection model needs n >= 1")
     if not is_noncrossing(p):
         raise ValueError("partition_to_msl requires a noncrossing partition")
-    lanes = []
+    exits = [0] * p.n
     for block in p.blocks:
-        lanes.append(Lane(block[0], block[-1]))
-        for t in range(len(block) - 1):
-            lanes.append(Lane(block[t + 1], block[t]))
-    return Msl(p.n, lanes)
+        for t, entry in enumerate(block):
+            exits[entry - 1] = block[t - 1]  # t = 0 wraps to block[-1], the long lane
+    return Msl(exits)
 
 
 def msl_to_partition(m: Msl) -> Partition:
@@ -131,20 +109,17 @@ def msl_to_partition(m: Msl) -> Partition:
     partition_to_msl maps the C_n noncrossing partitions onto them
     injectively, with this map as its inverse.
     """
-    succ = {l.entry: l.exit for l in m.lanes}
-    seen: set[int] = set()
+    seen = [False] * (m.n + 1)
     blocks = []
     for start in range(1, m.n + 1):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        nxt = succ[start]
-        while nxt != start:
-            orbit.append(nxt)
-            seen.add(nxt)
-            nxt = succ[nxt]
-        blocks.append(sorted(orbit))
+        orbit = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            orbit.append(x)
+            x = m.exits[x - 1]
+        if orbit:
+            blocks.append(orbit)
     return Partition(m.n, blocks)
 
 
@@ -158,7 +133,7 @@ def is_absolute(m: Msl) -> bool:
     chord misses 2i and 2j-1, so it crosses E_j>X_i just when it crosses
     E_i>X_j: only (2i-1, 2j) is tested, O(n) per pair of U-turns.
     """
-    chords = [l.chord() for l in m.lanes if not l.is_u_turn]
+    chords = [(2 * i - 1, 2 * x) for i, x in enumerate(m.exits, 1) if i != x]
     for i, j in combinations(m.u_turns, 2):
         a, b = 2 * i - 1, 2 * j
         if not any((a < p < b) != (a < q < b) for p, q in chords):
@@ -167,7 +142,7 @@ def is_absolute(m: Msl) -> bool:
 
 
 def enumerate_msl(n: int) -> Iterator[Msl]:
-    """Every MSL of the size-n intersection, sorted by their (entry, exit) pairs.
+    """Every MSL of the size-n intersection, sorted by their exits.
 
     The image of the noncrossing partitions of [n] under partition_to_msl.
     Capped by MSL_CEILING.
@@ -178,5 +153,4 @@ def enumerate_msl(n: int) -> Iterator[Msl]:
         raise CeilingExceededError(
             f"enumerate_msl is capped at n={MSL_CEILING}, got {n}"
         )
-    msls = [partition_to_msl(p) for p in noncrossing_partitions(n)]
-    yield from sorted(msls, key=lambda m: sorted((l.entry, l.exit) for l in m.lanes))
+    yield from sorted(map(partition_to_msl, noncrossing_partitions(n)), key=lambda m: m.exits)

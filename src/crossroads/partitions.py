@@ -38,6 +38,10 @@ class Partition:
     _text = None  # slash form stored by _canonical; not a field, so ==, hash and repr ignore it
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
+        blocks = [tuple(b) for b in blocks]
+        # checked before sorting, which would raise TypeError on mixed types
+        if any(type(x) is not int for b in blocks for x in b):
+            raise ValueError("elements must be ints")
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", canon)
@@ -65,7 +69,7 @@ class Partition:
             if not block:
                 raise ValueError("empty block")
             for x in block:
-                if type(x) is not int or x < 1 or x > self.n:
+                if x < 1 or x > self.n:
                     raise ValueError(f"element {x!r} outside 1..{self.n}")
                 if x in seen:
                     raise ValueError(f"element {x} appears twice")

@@ -12,7 +12,8 @@ shares no code with the engine result it checks:
 * ``nc_count_enumerated`` checks ``nc_count`` by counting the walker's
   partitions by blocks and singletons. Capped by ORACLE_CEILING.
 * ``is_msl`` checks ``Msl`` and ``is_absolute``: the full lane-set definition,
-  maximality included, from pairwise ``lanes_cross`` tests.
+  maximality included, from pairwise ``lanes_cross`` tests. A lane is an
+  (entry, exit) pair, E_entry>X_exit.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from typing import Iterable, Iterator
 
 from .enumeration import Tally, noncrossing_partitions
 from .formulas import catalan
-from .intersection import Lane
 from .partitions import CeilingExceededError, Partition, is_noncrossing
 
 ORACLE_CEILING = 10
@@ -38,6 +38,8 @@ def all_set_partitions(n: int) -> Iterator[Partition]:
     This is the oracle substrate and deliberately brute force; n is capped
     by ORACLE_CEILING.
     """
+    if n < 0:
+        raise ValueError("ground set size must be nonnegative")
     if n > ORACLE_CEILING:
         raise CeilingExceededError(
             f"all_set_partitions is capped at n={ORACLE_CEILING}, got {n}"
@@ -196,36 +198,37 @@ def nc_count_enumerated(n: int, m: int, k: int) -> int:
     return count
 
 
-def _check_lane(lane: Lane, n: int) -> None:
-    if not (1 <= lane.entry <= n and 1 <= lane.exit <= n):
-        raise ValueError(f"lane {lane} outside intersection of size {n}")
+def _chord(lane: "tuple[int, int]", n: int) -> "list[int]":
+    """Endpoints on the 2n circle of the lane (entry, exit), ascending."""
+    entry, exit = lane
+    if not (1 <= entry <= n and 1 <= exit <= n):
+        raise ValueError(f"lane E{entry}>X{exit} outside intersection of size {n}")
+    return sorted((2 * entry - 1, 2 * exit))
 
 
-def lanes_cross(a: Lane, b: Lane, n: int) -> bool:
-    """Whether two lanes have a common point on the size-n intersection.
+def lanes_cross(a: "tuple[int, int]", b: "tuple[int, int]", n: int) -> bool:
+    """Whether two (entry, exit) lanes have a common point on the size-n intersection.
 
     A shared entry or exit counts as crossing, otherwise the chords cross
     exactly when one endpoint of b lies strictly inside a's arc and the
     other strictly outside.
     """
-    _check_lane(a, n)
-    _check_lane(b, n)
-    p1, q1 = a.chord()
-    p2, q2 = b.chord()
+    p1, q1 = _chord(a, n)
+    p2, q2 = _chord(b, n)
     if len({p1, q1, p2, q2}) < 4:
         return True
     return (p1 < p2 < q1) != (p1 < q2 < q1)
 
 
-def is_msl(lanes: "Iterable[Lane]", n: int) -> bool:
-    """Full definition check for arbitrary lane sets, maximality included."""
+def is_msl(lanes: "Iterable[tuple[int, int]]", n: int) -> bool:
+    """Full definition check for arbitrary sets of (entry, exit) lanes, maximality included."""
     lane_tuple = tuple(set(lanes))
     for lane in lane_tuple:
-        _check_lane(lane, n)
+        _chord(lane, n)
     if any(lanes_cross(a, b, n) for a, b in combinations(lane_tuple, 2)):
         return False
     # a lane already in the set shares its endpoints with itself, so it counts as crossing
     return all(
-        any(lanes_cross(Lane(e, x), l, n) for l in lane_tuple)
+        any(lanes_cross((e, x), l, n) for l in lane_tuple)
         for e in range(1, n + 1) for x in range(1, n + 1)
     )

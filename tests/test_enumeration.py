@@ -412,3 +412,10 @@ class TestClassifiedStream:
         for stream in (noncrossing_partitions, classified_stream):
             with pytest.raises(CeilingExceededError):
                 next(stream(ENUMERATE_CEILING + 1))
+
+
+@pytest.mark.parametrize("stream", [noncrossing_partitions, classified_stream, all_set_partitions])
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_size_is_rejected(stream, n):
+    with pytest.raises(ValueError, match="^ground set size must be nonnegative$"):
+        next(stream(n))

@@ -6,7 +6,6 @@ import pytest
 from crossroads import (
     MSL_CEILING,
     CeilingExceededError,
-    Lane,
     Msl,
     Partition,
     catalan,
@@ -25,7 +24,7 @@ def P(text):
     return Partition.from_text(text)
 
 
-def maximal_cliques(lanes: "list[Lane]", n: int) -> Iterator["list[Lane]"]:
+def maximal_cliques(lanes: "list[tuple[int, int]]", n: int) -> Iterator[list]:
     """Every maximal pairwise-noncrossing subset of ``lanes``, by exhaustive search.
 
     Lists the maximal cliques of the graph on ``lanes`` in which two lanes
@@ -34,7 +33,7 @@ def maximal_cliques(lanes: "list[Lane]", n: int) -> Iterator["list[Lane]"]:
     """
     fits = {a: {b for b in lanes if not lanes_cross(a, b, n)} for a in lanes}
 
-    def cliques(clique: "list[Lane]", candidates: set, excluded: set) -> Iterator["list[Lane]"]:
+    def cliques(clique: list, candidates: set, excluded: set) -> Iterator[list]:
         if not candidates and not excluded:
             yield clique
             return
@@ -48,48 +47,42 @@ def maximal_cliques(lanes: "list[Lane]", n: int) -> Iterator["list[Lane]"]:
 
 
 def all_lanes(n):
-    return [Lane(e, x) for e in range(1, n + 1) for x in range(1, n + 1)]
+    return [(e, x) for e in range(1, n + 1) for x in range(1, n + 1)]
 
 
-FIGURE_2 = Msl(4, [Lane(1, 3), Lane(3, 2), Lane(2, 1), Lane(4, 4)])
-FIGURE_3 = Msl(4, [Lane(1, 2), Lane(2, 1), Lane(3, 3), Lane(4, 4)])
-FIGURE_6 = Msl(4, [Lane(1, 2), Lane(2, 1), Lane(3, 4), Lane(4, 3)])
+def msl_of(lanes: "list[tuple[int, int]]") -> Msl:
+    """The Msl of a set of (entry, exit) lanes with one lane for each entry 1..n."""
+    ordered = sorted(lanes)
+    assert [e for e, _ in ordered] == list(range(1, len(ordered) + 1))
+    return Msl(x for _, x in ordered)
 
 
-class TestLane:
-    def test_u_turn(self):
-        assert Lane(2, 2).is_u_turn
-        assert not Lane(1, 2).is_u_turn
-
-    def test_chord_endpoints(self):
-        assert Lane(1, 3).chord() == (1, 6)
-        assert Lane(2, 1).chord() == (2, 3)
-
-    def test_text(self):
-        assert str(Lane(1, 3)) == "E1>X3"
+FIGURE_2 = Msl((3, 1, 2, 4))  # E1>X3, E2>X1, E3>X2, E4>X4
+FIGURE_3 = Msl((2, 1, 3, 4))
+FIGURE_6 = Msl((2, 1, 4, 3))
 
 
 class TestLanesCross:
     def test_nested_chords_do_not_cross(self):
-        assert not lanes_cross(Lane(1, 3), Lane(2, 1), 4)
+        assert not lanes_cross((1, 3), (2, 1), 4)
 
     def test_interleaved_chords_cross(self):
-        assert lanes_cross(Lane(1, 2), Lane(2, 4), 4)
+        assert lanes_cross((1, 2), (2, 4), 4)
 
     def test_shared_endpoint_crosses(self):
-        assert lanes_cross(Lane(1, 1), Lane(1, 2), 2)
+        assert lanes_cross((1, 1), (1, 2), 2)
 
     def test_symmetry(self):
         for a, b in [
-            (Lane(1, 3), Lane(2, 1)),
-            (Lane(1, 2), Lane(2, 4)),
-            (Lane(2, 2), Lane(3, 1)),
+            ((1, 3), (2, 1)),
+            ((1, 2), (2, 4)),
+            ((2, 2), (3, 1)),
         ]:
             assert lanes_cross(a, b, 4) == lanes_cross(b, a, 4)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            lanes_cross(Lane(1, 5), Lane(2, 1), 4)
+            lanes_cross((1, 5), (2, 1), 4)
 
 
 class TestMslValue:
@@ -99,66 +92,94 @@ class TestMslValue:
 
     def test_text_form(self):
         assert FIGURE_3.to_text() == "E1>X2,E2>X1,E3>X3,E4>X4"
+        assert FIGURE_2.to_text() == "E1>X3,E2>X1,E3>X2,E4>X4"
+
+    def test_value(self):
+        m = Msl([2, 1])
+        assert m.exits == (2, 1) and m.n == 2
+        assert m == Msl((2, 1)) and hash(m) == hash(Msl((2, 1)))
+        assert repr(m) == "Msl(exits=(2, 1))"
 
     def test_rejects_wrong_lane_count(self):
-        with pytest.raises(ValueError):
-            Msl(3, [Lane(1, 1), Lane(2, 2)])
+        # the size is the number of exits given, so it cannot disagree with the lane count
+        with pytest.raises(TypeError):
+            Msl(3, [1, 2])
 
     def test_rejects_reused_entry(self):
-        with pytest.raises(ValueError):
-            Msl(2, [Lane(1, 1), Lane(1, 2)])
+        # an entry is a position in the exits, so none can be reused; lanes given as pairs are refused
+        with pytest.raises(ValueError, match="^exits must be ints$"):
+            Msl([(1, 1), (1, 2)])
+
+    def test_rejects_reused_exit(self):
+        with pytest.raises(ValueError, match="permutation"):
+            Msl((2, 1, 2))
+
+    def test_rejects_missing_exit(self):
+        # three lanes cover X1..X3, so X3 has no lane when one ends at X4
+        with pytest.raises(ValueError, match="permutation"):
+            Msl((1, 2, 4))
+
+    def test_rejects_out_of_range_exit(self):
+        for exits in ((0, 1), (1, -2)):
+            with pytest.raises(ValueError, match="permutation"):
+                Msl(exits)
 
     def test_rejects_crossing_lanes(self):
-        with pytest.raises(ValueError):
-            Msl(3, [Lane(1, 2), Lane(2, 3), Lane(3, 1)])
+        with pytest.raises(ValueError, match="^lanes cross$"):
+            Msl((2, 3, 1))
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
-            Msl(0, [])
+            Msl(())
 
     def test_rejects_bools(self):
-        # True == 1, so only the type check tells these lanes from Lane(1, 1)
-        for lane in (Lane(True, True), Lane(True, 1), Lane(1, True)):
-            with pytest.raises(ValueError):
-                Msl(1, [lane])
+        # True == 1, so only the type check tells these exits from (1,) and (1, 2)
+        for exits in ((True,), (True, 2), (1, True)):
+            with pytest.raises(ValueError, match="^exits must be ints$"):
+                Msl(exits)
+
+    def test_rejects_non_ints_before_sorting(self):
+        # sorting these would raise TypeError
+        for exits in (("a", 1), (None,), (None, 1), (1.0, 2)):
+            with pytest.raises(ValueError, match="^exits must be ints$"):
+                Msl(exits)
 
     def test_scan_agrees_with_the_definition(self):
         for n in range(1, 7):
             for exits in permutations(range(1, n + 1)):
-                lanes = [Lane(e, x) for e, x in enumerate(exits, 1)]
-                if is_msl(lanes, n):
-                    assert Msl(n, lanes).lanes == frozenset(lanes)
+                if is_msl(enumerate(exits, 1), n):
+                    assert Msl(exits).exits == exits
                 else:
                     with pytest.raises(ValueError, match="^lanes cross$"):
-                        Msl(n, lanes)
+                        Msl(exits)
 
 
 class TestIsMsl:
     def test_figure_2_is_msl(self):
-        assert is_msl([Lane(1, 3), Lane(3, 2), Lane(2, 1), Lane(4, 4)], 4)
+        assert is_msl([(1, 3), (3, 2), (2, 1), (4, 4)], 4)
 
     def test_non_maximal_set(self):
-        assert not is_msl([Lane(1, 2), Lane(2, 1)], 4)
+        assert not is_msl([(1, 2), (2, 1)], 4)
 
     def test_single_u_turn(self):
-        assert is_msl([Lane(1, 1)], 1)
+        assert is_msl([(1, 1)], 1)
 
     def test_crossing_set(self):
-        assert not is_msl([Lane(1, 2), Lane(2, 4), Lane(3, 1), Lane(4, 3)], 4)
+        assert not is_msl([(1, 2), (2, 4), (3, 1), (4, 3)], 4)
 
 
 class TestBijection:
     def test_partition_to_msl_examples(self):
         assert partition_to_msl(P("1,2,3/4")) == FIGURE_2
         assert partition_to_msl(P("1,2/3/4")) == FIGURE_3
-        assert partition_to_msl(P("1")) == Msl(1, [Lane(1, 1)])
+        assert partition_to_msl(P("1")) == Msl((1,))
 
     def test_msl_to_partition_examples(self):
         assert msl_to_partition(FIGURE_3) == P("1,2/3/4")
         assert msl_to_partition(FIGURE_6) == P("1,2/3,4")
 
     def test_rejects_crossing_partition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires a noncrossing partition"):
             partition_to_msl(Partition(4, [[1, 3], [2, 4]]))
 
     def test_rejects_empty_ground_set(self):
@@ -176,7 +197,7 @@ class TestBijection:
             accepted = 0
             for exits in permutations(range(1, n + 1)):
                 try:
-                    m = Msl(n, [Lane(e, x) for e, x in enumerate(exits, 1)])
+                    m = Msl(exits)
                 except ValueError:
                     continue
                 accepted += 1
@@ -188,7 +209,7 @@ class TestBijection:
     def test_image_is_valid_msl(self, nc_lists):
         for p in nc_lists(5):
             m = partition_to_msl(p)
-            assert is_msl(m.lanes, m.n)
+            assert is_msl(enumerate(m.exits, 1), m.n)
 
 
 class TestAbsolute:
@@ -199,11 +220,11 @@ class TestAbsolute:
         assert not is_absolute(FIGURE_3)
 
     def test_no_u_turns_is_absolute(self):
-        assert is_absolute(Msl(2, [Lane(1, 2), Lane(2, 1)]))
+        assert is_absolute(Msl((2, 1)))
 
     def test_matches_the_definition(self):
         def rewired(m, i, j):
-            return [l for l in m.lanes if l.entry not in (i, j)] + [Lane(i, j), Lane(j, i)]
+            return [(e, x) for e, x in enumerate(m.exits, 1) if e not in (i, j)] + [(i, j), (j, i)]
 
         for n in range(1, 7):
             for m in enumerate_msl(n):
@@ -224,8 +245,7 @@ class TestEnumerateMsl:
         # Msl() accepting every clique shows that maximal lane sets are perfect matchings
         for n in range(1, MSL_CEILING + 1):
             found = maximal_cliques(all_lanes(n), n)
-            cliques = sorted(found, key=lambda c: sorted((l.entry, l.exit) for l in c))
-            assert list(enumerate_msl(n)) == [Msl(n, c) for c in cliques]
+            assert list(enumerate_msl(n)) == sorted(map(msl_of, found), key=lambda m: m.exits)
 
     def test_absolute_iff_lonely(self):
         for n in range(1, 6):
@@ -241,7 +261,7 @@ class TestEnumerateMsl:
     def test_u_turn_free_cliques_count_lonely(self):
         # README route 4: maximal lane sets of the intersection without U-turns
         for n in range(1, MSL_CEILING + 1):
-            lanes = [l for l in all_lanes(n) if not l.is_u_turn]
+            lanes = [(e, x) for e, x in all_lanes(n) if e != x]
             assert sum(1 for _ in maximal_cliques(lanes, n)) == tally(CountJob(n)).lonely
 
     def test_u_turn_free_implies_absolute(self):

@@ -1,5 +1,7 @@
 """The package layout: what the CLI loads, where imports sit, what the root exports."""
 import ast
+import functools
+import importlib
 import os
 import subprocess
 import sys
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import crossroads
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODULES = sorted((SRC / "crossroads").glob("*.py"))
 
 
@@ -58,3 +61,21 @@ def test_all_lists_every_public_name_of_the_root():
     assert sorted(crossroads.__all__) == sorted(bound)
     assert len(set(crossroads.__all__)) == len(crossroads.__all__)
     assert all(hasattr(crossroads, name) for name in crossroads.__all__)
+
+
+def test_every_traced_name_resolves():
+    """The names the benchmark tracer wraps exist, so a rename fails here and not under ``--trace 1``."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    traced = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    ]
+    assert len(traced) == 1 and traced[0]
+    missing = []
+    for name in traced[0]:
+        module, *attrs = name.split(".")
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(f"crossroads.{module}"))
+        except (AttributeError, ImportError):
+            missing.append(name)
+    assert missing == []

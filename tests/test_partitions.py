@@ -64,6 +64,12 @@ class TestPartitionValue:
             with pytest.raises(ValueError):
                 Partition(2, blocks)
 
+    def test_rejects_non_ints_before_sorting(self):
+        # sorting would raise TypeError on the first two
+        for blocks in ([["a"], [1]], [[None, 1]], [[1.0], [2]], [["a"], ["b"]]):
+            with pytest.raises(ValueError, match="^elements must be ints$"):
+                Partition(2, blocks)
+
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             Partition(-1, [])
