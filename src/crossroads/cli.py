@@ -12,7 +12,6 @@ ceiling was exceeded.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import json
 import os
@@ -24,7 +23,7 @@ import click
 from .enumeration import CountJob, classified_stream, tally, tally_range
 from .formulas import SequenceRow, lower_bound_lonely, lower_bound_marriageable, ratio_report, two_digits
 from .intersection import enumerate_msl, is_absolute, msl_to_partition
-from .partitions import CeilingExceededError, Kind
+from .partitions import CeilingExceededError
 from .reference import MAX_PUBLISHED_N, published_row
 
 click.exceptions.UsageError.exit_code = 64
@@ -53,7 +52,7 @@ def _lines(output: "str | None"):
     """A write function for the --output file, or for stdout when none is given.
 
     Writes are buffered, never flushed per line. Stdout is flushed once at
-    the end, still inside the command, so that :func:`_guard` sees a broken
+    the end, still inside the command, so that :class:`_Group` sees a broken
     pipe.
     """
     if output:
@@ -102,11 +101,12 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
                 put(summary + "\n")
 
 
-def _guard(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
+class _Group(click.Group):
+    """The command group, where errors from every command become exit codes."""
+
+    def invoke(self, ctx):
         try:
-            return func(*args, **kwargs)
+            return super().invoke(ctx)
         except CeilingExceededError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(65)
@@ -118,8 +118,6 @@ def _guard(func):
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
-    return wrapper
-
 
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
                              default="text", show_default=True, help="Output format.")
@@ -127,7 +125,7 @@ output_option = click.option("--output", type=click.Path(writable=True), default
                              help="Write to a file.")
 
 
-@click.group()
+@click.group(cls=_Group)
 def cli():
     """Count and classify noncrossing partitions into lonely and marriageable
     singles, and explore the equivalent road-intersection lane model."""
@@ -137,7 +135,6 @@ def cli():
 @click.option("--n", type=click.IntRange(min=0), required=True)
 @format_option
 @output_option
-@_guard
 def count(n: int, fmt: str, output: "str | None"):
     """Tally the partitions of one ground-set size."""
     _render(
@@ -154,7 +151,6 @@ TABLE_CSV_HEADER = tuple(f.name for f in fields(SequenceRow))
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
 @format_option
 @output_option
-@_guard
 def table(max_n: int, fmt: str, output: "str | None"):
     """Counts and ratio columns for every n up to --max-n."""
     _render(
@@ -184,7 +180,6 @@ def _verify_document(records: list) -> dict:
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
 @format_option
 @output_option
-@_guard
 def verify(max_n: int, fmt: str, output: "str | None"):
     """Recompute tallies and compare against the published reference rows.
 
@@ -217,12 +212,11 @@ def verify(max_n: int, fmt: str, output: "str | None"):
               help="Stream only one class.")
 @format_option
 @output_option
-@_guard
 def enumerate_cmd(n: int, wanted: "str | None", fmt: str, output: "str | None"):
     """Stream noncrossing partitions in text form, optionally filtered."""
     _render(
         output, fmt, ("partition", "class"),
-        ((p.to_text(), c.kind.value) for p, c in classified_stream(n, wanted and Kind(wanted))),
+        ((p.to_text(), c.kind.value) for p, c in classified_stream(n, wanted)),
         line=lambda partition, kind: partition,
     )
 
@@ -231,7 +225,6 @@ def enumerate_cmd(n: int, wanted: "str | None", fmt: str, output: "str | None"):
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
 @format_option
 @output_option
-@_guard
 def bounds(max_n: int, fmt: str, output: "str | None"):
     """Evaluate the proved lower bounds and the two-step inequality.
 
@@ -268,7 +261,6 @@ CONJECTURE_CSV_HEADER = ["n", "ratio_l", "ratio_m", "m_over_l", "m_over_c", "l_o
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
 @format_option
 @output_option
-@_guard
 def conjectures(max_n: int, fmt: str, output: "str | None"):
     """Per-n quantities behind the five conjectured limits.
 
@@ -291,7 +283,6 @@ def conjectures(max_n: int, fmt: str, output: "str | None"):
 @click.option("--n", type=click.IntRange(min=1), required=True)
 @format_option
 @output_option
-@_guard
 def intersection(n: int, fmt: str, output: "str | None"):
     """Stream every maximal lane set with its absoluteness flag."""
     _render(
@@ -307,7 +298,6 @@ def intersection(n: int, fmt: str, output: "str | None"):
               help="L for the lonely sequence, M for the marriageable one.")
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
 @output_option
-@_guard
 def bfile(seq: str, max_n: int, output: "str | None"):
     """Write the sequence in OEIS b-file form, one "n a(n)" pair per line."""
     _render(

@@ -83,7 +83,7 @@ class CountJob:
             raise ValueError("workers must be positive")
 
 
-def _walk(n: int, kind: "Kind | None") -> "Iterator[tuple[Partition, Classification]]":
+def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[Partition, Classification]]":
     """Every noncrossing partition of [n] with its classification, in walk order.
 
     Per open block the walk keeps the first singleton of the block's current
@@ -100,6 +100,8 @@ def _walk(n: int, kind: "Kind | None") -> "Iterator[tuple[Partition, Classificat
         raise CeilingExceededError(
             f"enumeration is capped at n={ENUMERATE_CEILING}, got {n}"
         )
+    if kind is not None:
+        kind = Kind(kind)
     names = [str(x) for x in range(n + 1)]
     blocks: list[tuple[int, ...]] = []
     texts: list[str] = []  # each block's text, e.g. "1,4,5"
@@ -226,11 +228,12 @@ def tally_range(max_n: int) -> "list[Tally]":
     return tallies
 
 
-def classified_stream(n: int, kind: "Kind | None" = None) -> "Iterator[tuple[Partition, Classification]]":
+def classified_stream(n: int, kind: "Kind | str | None" = None) -> "Iterator[tuple[Partition, Classification]]":
     """Stream (partition, classification) pairs in generation order, optionally one class only.
 
-    The classification is made during generation and agrees with
-    :func:`classify`, witness included. Raises CeilingExceededError past
-    ENUMERATE_CEILING.
+    ``kind`` is a :class:`Kind` or its value, e.g. ``"lonely"``; any other
+    value raises ValueError. The classification is made during generation
+    and agrees with :func:`classify`, witness included. Raises
+    CeilingExceededError past ENUMERATE_CEILING.
     """
     yield from _walk(n, kind)

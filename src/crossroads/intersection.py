@@ -11,12 +11,15 @@ MSL is *absolute* when no two of its U-turns can be rewired into the pair
 E_i>X_j, E_j>X_i to yield another MSL. Absolute MSLs correspond exactly to
 the lonely partitions.
 
-The MSLs are listed as the image of the partition walker under the bijection.
+One parenthesis scan over the 2n circle positions, made once when an ``Msl``
+is built, decides nesting and finds each U-turn's region, the innermost lane
+around it: validation reads the first, :func:`is_absolute` the second, since
+two U-turns can be rewired exactly when they share a region. The MSLs are
+listed as the image of the partition walker under the bijection.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .enumeration import noncrossing_partitions
@@ -27,23 +30,28 @@ MSL_CEILING = 7
 its output against the independent maximal-clique search over all n*n lanes."""
 
 
-def _nested(exits: "tuple[int, ...]") -> bool:
-    """Whether the chords (2i-1, 2*exits[i-1]) nest like parentheses.
+def _u_turn_regions(exits: "tuple[int, ...]") -> "list[int] | None":
+    """Each U-turn's region in entry order, or None when the chords cross.
 
-    ``exits`` is a permutation, so each of the 2n positions ends exactly one
-    chord, and nesting is being pairwise noncrossing.
+    One parenthesis scan of the chords (2i-1, 2*exits[i-1]) over positions
+    1..2n; ``exits`` is a permutation, so nesting is being pairwise
+    noncrossing. A U-turn's region is the far end of the innermost chord
+    around it, 0 at the top level.
     """
     other = [0] * (2 * len(exits) + 1)
     for entry, exit in enumerate(exits, 1):
         p, q = 2 * entry - 1, 2 * exit
         other[p], other[q] = q, p
-    open_ends = []
+    open_ends = [0]
+    regions = []
     for pos in range(1, len(other)):
         if other[pos] > pos:
+            if pos % 2 and other[pos] == pos + 1:
+                regions.append(open_ends[-1])
             open_ends.append(other[pos])
         elif open_ends.pop() != pos:
-            return False
-    return True
+            return None
+    return regions
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,8 @@ class Msl:
     exits a permutation of 1..n, and the chords nested like parentheses
     (with distinct endpoints, that is pairwise noncrossing). These force
     maximality: any further lane would reuse an endpoint, and a common point
-    is a crossing.
+    is a crossing. The nesting scan's U-turn regions are kept for
+    :func:`is_absolute`, outside the fields, so ==, hash and repr ignore them.
     """
 
     exits: tuple[int, ...]
@@ -68,8 +77,10 @@ class Msl:
             raise ValueError("exits must be ints")
         if sorted(exits) != list(range(1, len(exits) + 1)):
             raise ValueError("the exits must be a permutation of 1..n")
-        if not _nested(exits):
+        regions = _u_turn_regions(exits)
+        if regions is None:
             raise ValueError("lanes cross")
+        object.__setattr__(self, "_regions", tuple(regions))
 
     @property
     def n(self) -> int:
@@ -126,19 +137,17 @@ def msl_to_partition(m: Msl) -> Partition:
 def is_absolute(m: Msl) -> bool:
     """No pair of U-turns can be rewired into E_i>X_j, E_j>X_i and still be an MSL.
 
-    The rewired set keeps one lane per entry and per exit, so it is an MSL
-    exactly when it is pairwise noncrossing. The kept lanes are noncrossing
-    already and the two new chords nest (for i < j, 2i-1 < 2i < 2j-1 < 2j).
-    Kept U-turns join adjacent positions and cross neither; any other kept
-    chord misses 2i and 2j-1, so it crosses E_j>X_i just when it crosses
-    E_i>X_j: only (2i-1, 2j) is tested, O(n) per pair of U-turns.
+    The rewired set keeps one lane per entry and exit, so it is an MSL exactly
+    when it is pairwise noncrossing. For i < j the new chords nest, kept
+    U-turns cross neither, and any other kept chord misses 2i and 2j-1, so it
+    crosses E_j>X_i just when it crosses E_i>X_j, the chord (2i-1, 2j): when
+    it encloses one of the two U-turns but not the other. The chords around a
+    U-turn form a chain, so such a chord exists exactly when the innermost
+    ones differ: the MSL is absolute exactly when no two U-turns share a
+    region (see :func:`_u_turn_regions`), read from the scan that validated
+    ``m``.
     """
-    chords = [(2 * i - 1, 2 * x) for i, x in enumerate(m.exits, 1) if i != x]
-    for i, j in combinations(m.u_turns, 2):
-        a, b = 2 * i - 1, 2 * j
-        if not any((a < p < b) != (a < q < b) for p, q in chords):
-            return False
-    return True
+    return len(set(m._regions)) == len(m._regions)
 
 
 def enumerate_msl(n: int) -> Iterator[Msl]:

@@ -7,10 +7,10 @@ replacement by the pair block {i, j} leaves the partition noncrossing is a
 *marriageable singles* partition; a noncrossing partition with no such pair
 is a *lonely singles* partition.
 
-The module provides the canonical :class:`Partition` value, a linear
-noncrossing test, one classifier that reads the singleton regions from a
-single scan, and six constructive maps that grow classified partitions by
-one or two elements while preserving their class.
+The module provides the canonical :class:`Partition` value, one linear scan
+that decides nesting and groups the singletons by region (the noncrossing
+test and the classifier both read it), and six constructive maps that grow
+classified partitions by one or two elements while preserving their class.
 """
 from __future__ import annotations
 
@@ -134,32 +134,41 @@ class Classification:
         return self.kind is Kind.LONELY
 
 
-def _block_ends(p: Partition) -> "tuple[list[int], list[int], list[int]]":
-    """Block index of each position 1..n, and the first and last element of each block."""
-    block_of = [0] * (p.n + 1)
-    for idx, block in enumerate(p.blocks):
-        for x in block:
-            block_of[x] = idx
-    return block_of, [b[0] for b in p.blocks], [b[-1] for b in p.blocks]
+def _regions(p: Partition) -> "dict[tuple[int, int] | None, list[int]] | None":
+    """The singletons of ``p`` grouped by region in one scan, or None when ``p`` crosses.
+
+    Walking positions 1..n, the stack holds the region inside each open
+    block, innermost last, as ``(block index, gap index)`` with the gap index
+    counting the block's elements seen so far, above ``None``, the top level.
+    A singleton joins the region on top. A further element of a block must
+    find that block on top; anything else certifies a crossing.
+    """
+    blocks = p.blocks
+    block_of: "list[int | None]" = [None] * (p.n + 1)  # None marks a singleton
+    for b, block in enumerate(blocks):
+        if len(block) > 1:
+            for x in block:
+                block_of[x] = b
+    regions: dict[tuple[int, int] | None, list[int]] = {}
+    stack: "list[tuple[int, int] | None]" = [None]
+    for pos in range(1, p.n + 1):
+        b = block_of[pos]
+        if b is None:
+            regions.setdefault(stack[-1], []).append(pos)
+        elif pos == blocks[b][0]:
+            stack.append((b, 1))
+        elif stack[-1][0] != b:  # b is open, so the top is a block, not None
+            return None
+        elif pos == blocks[b][-1]:
+            stack.pop()
+        else:
+            stack[-1] = (b, stack[-1][1] + 1)
+    return regions
 
 
 def is_noncrossing(p: Partition) -> bool:
-    """Linear-time noncrossing test via a single scan with a stack.
-
-    Walking positions 1..n, a block must sit on top of the stack whenever it
-    receives a further element; anything else certifies a crossing.
-    """
-    block_of, first, last = _block_ends(p)
-    stack: list[int] = []
-    for pos in range(1, p.n + 1):
-        b = block_of[pos]
-        if pos == first[b]:
-            stack.append(b)
-        elif not stack or stack[-1] != b:
-            return False
-        if pos == last[b]:
-            stack.pop()
-    return True
+    """Linear-time noncrossing test: the region scan completes."""
+    return _regions(p) is not None
 
 
 def nesting_forest(p: Partition) -> "dict[tuple[int, int] | None, tuple[int, ...]]":
@@ -169,22 +178,9 @@ def nesting_forest(p: Partition) -> "dict[tuple[int, int] | None, tuple[int, ...
     elements of the enclosing block to the singleton's left, or ``None`` for
     the top level; see :func:`classify`.
     """
-    block_of, first, last = _block_ends(p)
-    regions: dict[tuple[int, int] | None, list[int]] = {}
-    placed = [0] * len(p.blocks)
-    stack: list[int] = []
-    for pos in range(1, p.n + 1):
-        b = block_of[pos]
-        if pos == first[b]:
-            if pos == last[b]:
-                key = (stack[-1], placed[stack[-1]]) if stack else None
-                regions.setdefault(key, []).append(pos)
-            stack.append(b)
-        elif not stack or stack[-1] != b:
-            raise ValueError("classification requires a noncrossing partition")
-        placed[b] += 1
-        if pos == last[b]:
-            stack.pop()
+    regions = _regions(p)
+    if regions is None:
+        raise ValueError("classification requires a noncrossing partition")
     return {k: tuple(v) for k, v in regions.items()}
 
 

@@ -222,7 +222,7 @@ def lanes_cross(a: "tuple[int, int]", b: "tuple[int, int]", n: int) -> bool:
 
 def is_msl(lanes: "Iterable[tuple[int, int]]", n: int) -> bool:
     """Full definition check for arbitrary sets of (entry, exit) lanes, maximality included."""
-    lane_tuple = tuple(set(lanes))
+    lane_tuple = tuple({tuple(lane) for lane in lanes})
     for lane in lane_tuple:
         _chord(lane, n)
     if any(lanes_cross(a, b, n) for a, b in combinations(lane_tuple, 2)):

@@ -364,9 +364,12 @@ class TestJobsAndValidation:
 
 class TestClassifiedStream:
     def test_lonely_stream_count(self):
-        items = list(classified_stream(5, Kind.LONELY))
-        assert len(items) == 26
-        assert all(c.kind is Kind.LONELY for _, c in items)
+        for kind in (Kind.LONELY, "lonely"):
+            items = list(classified_stream(5, kind))
+            assert len(items) == 26, kind
+            assert all(c.kind is Kind.LONELY for _, c in items)
+        with pytest.raises(ValueError):
+            next(classified_stream(5, "bogus"))
 
     def test_unfiltered_stream_is_complete(self):
         items = list(classified_stream(4))
@@ -377,9 +380,10 @@ class TestClassifiedStream:
     @staticmethod
     def _assert_stream_equals(n, classifier):
         expected = [(p, classifier(p)) for p in noncrossing_partitions(n)]
-        for kind in (None, Kind.LONELY, Kind.MARRIAGEABLE):
+        for kind in (None, Kind.LONELY, Kind.MARRIAGEABLE, "lonely", "marriageable"):
+            wanted = kind and Kind(kind)
             assert list(classified_stream(n, kind)) == [
-                (p, c) for p, c in expected if kind is None or c.kind is kind
+                (p, c) for p, c in expected if wanted is None or c.kind is wanted
             ], (n, kind)
 
     def test_walker_matches_the_definitional_classifier(self):

@@ -13,6 +13,7 @@ from crossroads import (
     enumerate_msl,
     is_absolute,
     msl_to_partition,
+    noncrossing_partitions,
     partition_to_msl,
     tally,
 )
@@ -163,6 +164,7 @@ class TestIsMsl:
 
     def test_single_u_turn(self):
         assert is_msl([(1, 1)], 1)
+        assert is_msl([[1, 1]], 1)  # lanes given as lists
 
     def test_crossing_set(self):
         assert not is_msl([(1, 2), (2, 4), (3, 1), (4, 3)], 4)
@@ -248,10 +250,9 @@ class TestEnumerateMsl:
             assert list(enumerate_msl(n)) == sorted(map(msl_of, found), key=lambda m: m.exits)
 
     def test_absolute_iff_lonely(self):
-        for n in range(1, 6):
-            for m in enumerate_msl(n):
-                lonely = classify(msl_to_partition(m)).is_lonely
-                assert is_absolute(m) == lonely
+        for n in range(1, 10):
+            for p in noncrossing_partitions(n):
+                assert is_absolute(partition_to_msl(p)) == classify(p).is_lonely, p
 
     def test_absolute_count_is_lonely_count(self):
         for n in range(1, 7):

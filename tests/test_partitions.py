@@ -113,6 +113,11 @@ class TestNoncrossing:
         for n in range(0, 8):
             for p in all_set_partitions(n):
                 assert is_noncrossing(p) == is_noncrossing_definitional(p), p
+                if is_noncrossing(p):
+                    nesting_forest(p)
+                else:
+                    with pytest.raises(ValueError, match="requires a noncrossing partition"):
+                        nesting_forest(p)
 
 
 class TestNestingForest:
