@@ -11,11 +11,11 @@ MSL is *absolute* when no two of its U-turns can be rewired into the pair
 E_i>X_j, E_j>X_i to yield another MSL. Absolute MSLs correspond exactly to
 the lonely partitions.
 
-One parenthesis scan over the 2n circle positions, made once when an ``Msl``
-is built, decides nesting and finds each U-turn's region, the innermost lane
-around it: validation reads the first, :func:`is_absolute` the second, since
-two U-turns can be rewired exactly when they share a region. The MSLs are
-listed as the image of the partition walker under the bijection.
+One parenthesis scan over the 2n circle positions decides nesting and finds
+each U-turn's region, the innermost lane around it: ``Msl`` validation reads
+the first, :func:`is_absolute` the second, since two U-turns can be rewired
+exactly when they share a region. The MSLs are listed as the image of the
+partition walker under the bijection.
 """
 from __future__ import annotations
 
@@ -62,8 +62,7 @@ class Msl:
     exits a permutation of 1..n, and the chords nested like parentheses
     (with distinct endpoints, that is pairwise noncrossing). These force
     maximality: any further lane would reuse an endpoint, and a common point
-    is a crossing. The nesting scan's U-turn regions are kept for
-    :func:`is_absolute`, outside the fields, so ==, hash and repr ignore them.
+    is a crossing.
     """
 
     exits: tuple[int, ...]
@@ -77,10 +76,8 @@ class Msl:
             raise ValueError("exits must be ints")
         if sorted(exits) != list(range(1, len(exits) + 1)):
             raise ValueError("the exits must be a permutation of 1..n")
-        regions = _u_turn_regions(exits)
-        if regions is None:
+        if _u_turn_regions(exits) is None:
             raise ValueError("lanes cross")
-        object.__setattr__(self, "_regions", tuple(regions))
 
     @property
     def n(self) -> int:
@@ -144,10 +141,10 @@ def is_absolute(m: Msl) -> bool:
     it encloses one of the two U-turns but not the other. The chords around a
     U-turn form a chain, so such a chord exists exactly when the innermost
     ones differ: the MSL is absolute exactly when no two U-turns share a
-    region (see :func:`_u_turn_regions`), read from the scan that validated
-    ``m``.
+    region (see :func:`_u_turn_regions`).
     """
-    return len(set(m._regions)) == len(m._regions)
+    regions = _u_turn_regions(m.exits)
+    return len(set(regions)) == len(regions)
 
 
 def enumerate_msl(n: int) -> Iterator[Msl]:
