@@ -25,11 +25,11 @@ from operator import mul
 from typing import Iterator
 
 from .formulas import catalan
-from .partitions import CeilingExceededError, Classification, Kind, Partition
+from .partitions import Classification, Kind, Partition, check_size
 
 COUNT_CEILING = 2000
 """Largest n accepted by tally and tally_range. On a 2-vCPU host with CPython 3.11,
-``count --n 2000`` takes about 0.3 s and ``bounds --max-n 2000`` about 6 s."""
+``count --n 2000`` takes about 0.15 s and ``bounds --max-n 2000`` about 4.5 s."""
 
 ENUMERATE_CEILING = 500
 """Largest n accepted by noncrossing_partitions and classified_stream; the walker
@@ -77,8 +77,7 @@ class CountJob:
     workers: "int | None" = None
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+        check_size(self.n)
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
 
@@ -86,31 +85,26 @@ class CountJob:
 def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[Partition, Classification]]":
     """Every noncrossing partition of [n] with its classification, in walk order.
 
-    Per open block the walk keeps the first singleton of the block's current
-    gap (0 for none); ``root`` is that slot for the top level. A second
+    Per region the walk keeps the first singleton of its current gap (0 for
+    none): the top level in the bottom slot, then each open block. A second
     singleton in a region gives the mergeable pair (first, pos), and the
     least pair found is the witness :func:`classify` returns. LONELY prunes
     every prefix holding a pair; MARRIAGEABLE skips the lonely leaves.
     Beside each block the walk keeps its text, so a leaf costs one tuple and
     one join; the partition is built unchecked by ``Partition._canonical``.
     """
-    if n < 0:
-        raise ValueError("ground set size must be nonnegative")
-    if n > ENUMERATE_CEILING:
-        raise CeilingExceededError(
-            f"enumeration is capped at n={ENUMERATE_CEILING}, got {n}"
-        )
+    check_size(n, ceiling=ENUMERATE_CEILING, what="enumeration")
     if kind is not None:
         kind = Kind(kind)
     names = [str(x) for x in range(n + 1)]
     blocks: list[tuple[int, ...]] = []
     texts: list[str] = []  # each block's text, e.g. "1,4,5"
     stack: list[int] = []  # indices of the open blocks, innermost last
-    firsts: list[int] = []  # first singleton of each open block's current gap
+    firsts = [0]  # first singleton of each region's current gap: the top level, then each open block
     lonely_only = kind is Kind.LONELY
     marriageable_only = kind is Kind.MARRIAGEABLE
 
-    def walk(pos: int, root: int, witness: "tuple[int, int] | None"):
+    def walk(pos: int, witness: "tuple[int, int] | None"):
         if pos > n:
             if witness is not None or not marriageable_only:
                 c = _LONELY if witness is None else Classification(Kind.MARRIAGEABLE, witness)
@@ -125,30 +119,28 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[Partition, Class
             block, text = blocks[top], texts[top]
             blocks[top], texts[top] = block + (pos,), text + "," + names[pos]
             # close the top block here: its last gap ends with it
-            yield from walk(pos + 1, root, witness)
+            yield from walk(pos + 1, witness)
             stack.append(top)
             firsts.append(first)
             if depth < remaining:
                 # keep it open: a fresh gap starts
                 firsts[-1] = 0
-                yield from walk(pos + 1, root, witness)
+                yield from walk(pos + 1, witness)
                 firsts[-1] = first
             blocks[top], texts[top] = block, text
         if depth < remaining:
             # a singleton in the innermost region
-            first = firsts[-1] if depth else root
+            first = firsts[-1]
             blocks.append((pos,))
             texts.append(names[pos])
             if first:
                 if not lonely_only:
                     pair = (first, pos)
-                    yield from walk(pos + 1, root, pair if witness is None else min(witness, pair))
-            elif depth:
-                firsts[-1] = pos
-                yield from walk(pos + 1, root, witness)
-                firsts[-1] = 0
+                    yield from walk(pos + 1, pair if witness is None else min(witness, pair))
             else:
-                yield from walk(pos + 1, pos, witness)
+                firsts[-1] = pos
+                yield from walk(pos + 1, witness)
+                firsts[-1] = 0
             blocks.pop()
             texts.pop()
         if depth + 1 < remaining:
@@ -157,13 +149,13 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[Partition, Class
             blocks.append((pos,))
             texts.append(names[pos])
             firsts.append(0)
-            yield from walk(pos + 1, root, witness)
+            yield from walk(pos + 1, witness)
             firsts.pop()
             stack.pop()
             blocks.pop()
             texts.pop()
 
-    return walk(1, 0, None)
+    return walk(1, None)
 
 
 def noncrossing_partitions(n: int) -> Iterator[Partition]:
@@ -192,10 +184,7 @@ def _lonely_numbers(max_n: int) -> "list[int]":
     p_0(n) vanishes at no n >= 5, so each term is one exact division, and
     the terms follow in O(max_n) exact integer steps.
     """
-    if max_n > COUNT_CEILING:
-        raise CeilingExceededError(
-            f"the lonely series is capped at n={COUNT_CEILING}, got {max_n}"
-        )
+    check_size(max_n, ceiling=COUNT_CEILING, what="the lonely series")
     lonely = list(_LONELY_START[: max_n + 1])
     for n in range(len(_LONELY_START), max_n + 1):
         p0, *p = (sum(a * n**d for d, a in enumerate(row)) for row in _LONELY_RECURRENCE)
@@ -218,8 +207,6 @@ def tally(job: CountJob) -> Tally:
 
 def tally_range(max_n: int) -> "list[Tally]":
     """Tallies for every n from 0 to max_n inclusive, from one run of the recurrence."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
     tallies = []
     total = 1
     for n, lonely in enumerate(_lonely_numbers(max_n)):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING
 
+from .partitions import check_size
+
 if TYPE_CHECKING:
     from .enumeration import Tally
 
@@ -26,8 +28,7 @@ def _binom(a: int, b: int) -> int:
 
 def catalan(n: int) -> int:
     """The nth Catalan number, binomial(2n, n) / (n + 1), exactly."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_size(n)
     num = comb(2 * n, n)
     assert num % (n + 1) == 0
     return num // (n + 1)
@@ -82,8 +83,7 @@ def lower_bound_lonely(n: int) -> int:
     positions without crossing the singleton-free rest, so the count is
     R_n + n R_{n-1}.
     """
-    if n < 2:
-        raise ValueError("bound defined for n >= 2")
+    check_size(n, least=2)
     riordan = _riordan(n)
     return riordan[n] + n * riordan[n - 1]
 
@@ -97,8 +97,7 @@ def lower_bound_marriageable(n: int) -> int:
     The n-d pairs at distance d each give R_{n-d-1} R_{d-1}, and summing
     over d gives a lower bound for the marriageable count.
     """
-    if n < 3:
-        raise ValueError("bound defined for n >= 3")
+    check_size(n, least=3)
     riordan = _riordan(n)
     return sum((n - d) * riordan[n - d - 1] * riordan[d - 1] for d in range(1, n))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .enumeration import noncrossing_partitions
-from .partitions import CeilingExceededError, Partition, is_noncrossing
+from .partitions import Partition, check_size, is_noncrossing
 
 MSL_CEILING = 7
 """Largest n accepted by enumerate_msl: the range over which the tests confirm
@@ -98,8 +98,7 @@ def partition_to_msl(p: Partition) -> Msl:
     A block a_1 < ... < a_k contributes the long lane E_{a_1}>X_{a_k} and the
     return lanes E_{a_{t+1}}>X_{a_t}; a singleton contributes its U-turn.
     """
-    if p.n < 1:
-        raise ValueError("the intersection model needs n >= 1")
+    check_size(p.n, least=1)
     if not is_noncrossing(p):
         raise ValueError("partition_to_msl requires a noncrossing partition")
     exits = [0] * p.n
@@ -112,22 +111,20 @@ def partition_to_msl(p: Partition) -> Msl:
 def msl_to_partition(m: Msl) -> Partition:
     """Inverse bijection: blocks are the orbits of entry -> that lane's exit.
 
-    The result is always noncrossing: a valid Msl is a noncrossing perfect
-    matching of the 2n positions, there are C_n of those, and
-    partition_to_msl maps the C_n noncrossing partitions onto them
-    injectively, with this map as its inverse.
+    An orbit is read from its least element, the one entry whose lane does
+    not go back, down the return lanes to that lane's exit. The result is
+    always noncrossing: a valid Msl is a noncrossing perfect matching of the
+    2n positions, there are C_n of those, and partition_to_msl maps the C_n
+    noncrossing partitions onto them injectively, with this map as its inverse.
     """
-    seen = [False] * (m.n + 1)
     blocks = []
-    for start in range(1, m.n + 1):
-        orbit = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            orbit.append(x)
-            x = m.exits[x - 1]
-        if orbit:
-            blocks.append(orbit)
+    for entry, x in enumerate(m.exits, 1):
+        if x >= entry:  # the long lane or U-turn of the block whose least element is entry
+            block = [x]
+            while x != entry:
+                x = m.exits[x - 1]
+                block.append(x)
+            blocks.append(block[::-1])
     return Partition(m.n, blocks)
 
 
@@ -153,10 +150,5 @@ def enumerate_msl(n: int) -> Iterator[Msl]:
     The image of the noncrossing partitions of [n] under partition_to_msl.
     Capped by MSL_CEILING.
     """
-    if n < 1:
-        raise ValueError("intersection size must be positive")
-    if n > MSL_CEILING:
-        raise CeilingExceededError(
-            f"enumerate_msl is capped at n={MSL_CEILING}, got {n}"
-        )
+    check_size(n, least=1, ceiling=MSL_CEILING, what="enumerate_msl")
     yield from sorted(map(partition_to_msl, noncrossing_partitions(n)), key=lambda m: m.exits)

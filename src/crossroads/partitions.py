@@ -11,6 +11,8 @@ The module provides the canonical :class:`Partition` value, one linear scan
 that decides nesting and groups the singletons by region (the noncrossing
 test and the classifier both read it), and six constructive maps that grow
 classified partitions by one or two elements while preserving their class.
+It also holds :func:`check_size`, the one check of a ground-set size that
+every entry point of the library runs.
 """
 from __future__ import annotations
 
@@ -20,7 +22,23 @@ from typing import Iterable
 
 
 class CeilingExceededError(ValueError):
-    """Raised when an exhaustive operation is asked to exceed its ceiling."""
+    """A ground-set size above an operation's ceiling, raised by :func:`check_size`.
+
+    The CLI exits 65 on it; only its ``verify`` raises it itself, past the published rows.
+    """
+
+
+def check_size(n: int, *, least: int = 0, ceiling: "int | None" = None, what: str = "") -> None:
+    """Refuse a ground-set size: every entry point of the library checks its n here.
+
+    Raises ValueError unless ``n`` is an int (bools refused) of at least
+    ``least``, and CeilingExceededError, naming ``what``, when it is above
+    ``ceiling``.
+    """
+    if type(n) is not int or n < least:
+        raise ValueError("ground set size must be " + (f"at least {least}" if least else "nonnegative"))
+    if ceiling is not None and n > ceiling:
+        raise CeilingExceededError(f"{what} is capped at n={ceiling}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +80,7 @@ class Partition:
         return self
 
     def _validate(self) -> None:
-        if self.n < 0:
-            raise ValueError("ground set size must be nonnegative")
+        check_size(self.n)
         seen: set[int] = set()
         for block in self.blocks:
             if not block:

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .enumeration import Tally, noncrossing_partitions
 from .formulas import catalan
-from .partitions import CeilingExceededError, Partition, is_noncrossing
+from .partitions import Partition, check_size, is_noncrossing
 
 ORACLE_CEILING = 10
 """Largest n accepted by the brute-force oracle over all set partitions."""
@@ -38,12 +38,7 @@ def all_set_partitions(n: int) -> Iterator[Partition]:
     This is the oracle substrate and deliberately brute force; n is capped
     by ORACLE_CEILING.
     """
-    if n < 0:
-        raise ValueError("ground set size must be nonnegative")
-    if n > ORACLE_CEILING:
-        raise CeilingExceededError(
-            f"all_set_partitions is capped at n={ORACLE_CEILING}, got {n}"
-        )
+    check_size(n, ceiling=ORACLE_CEILING, what="all_set_partitions")
     if n == 0:
         yield Partition(0, ())
         return
@@ -133,10 +128,7 @@ def stream_tally(n: int) -> Tally:
     marriageable. Costs one visit per noncrossing partition; capped by
     STREAM_CEILING.
     """
-    if n > STREAM_CEILING:
-        raise CeilingExceededError(
-            f"stream_tally is capped at n={STREAM_CEILING}, got {n}"
-        )
+    check_size(n, ceiling=STREAM_CEILING, what="stream_tally")
     lonely = 0
     total = 0
     # stack entries are current-gap flags of open blocks
@@ -187,10 +179,7 @@ def stream_tally(n: int) -> Tally:
 
 def nc_count_enumerated(n: int, m: int, k: int) -> int:
     """Oracle twin of ``nc_count`` by exhaustive enumeration, any k."""
-    if n > ORACLE_CEILING:
-        raise CeilingExceededError(
-            f"nc_count_enumerated is capped at n={ORACLE_CEILING}, got {n}"
-        )
+    check_size(n, ceiling=ORACLE_CEILING, what="nc_count_enumerated")
     count = 0
     for p in noncrossing_partitions(n):
         if len(p.blocks) == m and len(p.singletons) == k:

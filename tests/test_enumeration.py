@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from collections.abc import Iterator
 from math import comb
 from operator import mul
 
@@ -9,6 +10,7 @@ from conftest import classify_definitional
 from crossroads import (
     COUNT_CEILING,
     ENUMERATE_CEILING,
+    MSL_CEILING,
     CeilingExceededError,
     CountJob,
     Kind,
@@ -17,13 +19,24 @@ from crossroads import (
     catalan,
     classified_stream,
     classify,
+    enumerate_msl,
     is_noncrossing,
+    lower_bound_lonely,
+    lower_bound_marriageable,
     noncrossing_partitions,
+    partition_to_msl,
     tally,
     tally_range,
 )
 from crossroads.enumeration import _LONELY_RECURRENCE, _LONELY_START
-from crossroads.routes import ORACLE_CEILING, STREAM_CEILING, all_set_partitions, oracle_tally, stream_tally
+from crossroads.routes import (
+    ORACLE_CEILING,
+    STREAM_CEILING,
+    all_set_partitions,
+    nc_count_enumerated,
+    oracle_tally,
+    stream_tally,
+)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -418,8 +431,56 @@ class TestClassifiedStream:
                 next(stream(ENUMERATE_CEILING + 1))
 
 
-@pytest.mark.parametrize("stream", [noncrossing_partitions, classified_stream, all_set_partitions])
-@pytest.mark.parametrize("n", [-1, -3])
-def test_negative_size_is_rejected(stream, n):
-    with pytest.raises(ValueError, match="^ground set size must be nonnegative$"):
-        next(stream(n))
+def _sized(call, least=0, name=None):
+    return pytest.param(call, least, id=name or call.__name__)
+
+
+# every entry point that takes a ground-set size, with the least size it accepts
+SIZED = [
+    _sized(noncrossing_partitions),
+    _sized(classified_stream),
+    _sized(all_set_partitions),
+    _sized(lambda n: Partition(n, ()), name="Partition"),
+    _sized(CountJob),
+    _sized(tally_range),
+    _sized(catalan),
+    _sized(stream_tally),
+    _sized(lambda n: nc_count_enumerated(n, 1, 0), name="nc_count_enumerated"),
+    _sized(lower_bound_lonely, 2),
+    _sized(lower_bound_marriageable, 3),
+    # an unchecked partition, so the size reaches partition_to_msl's own check
+    _sized(lambda n: partition_to_msl(Partition._canonical(n, (), "")), 1, "partition_to_msl"),
+    _sized(enumerate_msl, 1),
+]
+
+
+def _call(entry, n):
+    """Call an entry point with size n, drawing the first item when it streams."""
+    result = entry(n)
+    if isinstance(result, Iterator):
+        next(result)
+
+
+@pytest.mark.parametrize("entry, least", SIZED)
+@pytest.mark.parametrize("n", [-1, -3, 1.0, True, "3"])
+def test_negative_size_is_rejected(entry, least, n):
+    """A size below zero or not an int, bools included, is refused with one message."""
+    refusal = f"at least {least}" if least else "nonnegative"
+    with pytest.raises(ValueError, match=f"^ground set size must be {refusal}$"):
+        _call(entry, n)
+
+
+@pytest.mark.parametrize("entry, what, ceiling", [
+    pytest.param(noncrossing_partitions, "enumeration", ENUMERATE_CEILING, id="noncrossing_partitions"),
+    pytest.param(classified_stream, "enumeration", ENUMERATE_CEILING, id="classified_stream"),
+    pytest.param(tally_range, "the lonely series", COUNT_CEILING, id="tally_range"),
+    pytest.param(lambda n: tally(CountJob(n)), "the lonely series", COUNT_CEILING, id="tally"),
+    pytest.param(all_set_partitions, "all_set_partitions", ORACLE_CEILING, id="all_set_partitions"),
+    pytest.param(stream_tally, "stream_tally", STREAM_CEILING, id="stream_tally"),
+    pytest.param(lambda n: nc_count_enumerated(n, 1, 0), "nc_count_enumerated", ORACLE_CEILING,
+                 id="nc_count_enumerated"),
+    pytest.param(enumerate_msl, "enumerate_msl", MSL_CEILING, id="enumerate_msl"),
+])
+def test_size_above_the_ceiling_is_rejected(entry, what, ceiling):
+    with pytest.raises(CeilingExceededError, match=f"^{what} is capped at n={ceiling}, got {ceiling + 1}$"):
+        _call(entry, ceiling + 1)

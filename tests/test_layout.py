@@ -79,3 +79,20 @@ def test_every_traced_name_resolves():
         except (AttributeError, ImportError):
             missing.append(name)
     assert missing == []
+
+
+def test_ceiling_errors_are_built_in_one_place():
+    """Every size ceiling is enforced by ``check_size``; only ``cli.verify``'s published-row limit is its own."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function, as ast.walk visits outer functions first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        found += [
+            f"{path.stem}.{owner.get(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CeilingExceededError"
+        ]
+    assert sorted(found) == ["cli.verify", "partitions.check_size"]
