@@ -42,6 +42,7 @@ def nc_count(n: int, m: int, k: int) -> int:
     For k = 1 it is binomial(n, m-1) * binomial(n-m-1, m-2), with (1, 1) as
     the special case. Out-of-support binomials vanish by convention.
     """
+    check_size(n)
     if k not in (0, 1):
         raise ValueError("closed forms exist for k in {0, 1} only")
     if k == 0:

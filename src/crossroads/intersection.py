@@ -14,8 +14,11 @@ the lonely partitions.
 One parenthesis scan over the 2n circle positions decides nesting and finds
 each U-turn's region, the innermost lane around it: ``Msl`` validation reads
 the first, :func:`is_absolute` the second, since two U-turns can be rewired
-exactly when they share a region. The MSLs are listed as the image of the
-partition walker under the bijection.
+exactly when they share a region. That scan is the one noncrossing check on
+the lane side: :func:`partition_to_msl` leaves it to ``Msl``, and
+:func:`msl_to_partition` builds its canonical partition without a second
+check. The MSLs are listed as the image of the partition walker under the
+bijection.
 """
 from __future__ import annotations
 
@@ -23,11 +26,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .enumeration import noncrossing_partitions
-from .partitions import Partition, check_size, is_noncrossing
+from .partitions import Partition, check_size
 
-MSL_CEILING = 7
-"""Largest n accepted by enumerate_msl: the range over which the tests confirm
-its output against the independent maximal-clique search over all n*n lanes."""
+MSL_CEILING = 10
+"""Largest n accepted by enumerate_msl: ``intersection --n 10`` (16796 lane
+sets) takes 0.7-0.8 s at 20 MB peak RSS on a 2-vCPU host under CPython 3.11,
+and n = 11 would take 2.5 s at 30 MB."""
 
 
 def _u_turn_regions(exits: "tuple[int, ...]") -> "list[int] | None":
@@ -97,15 +101,22 @@ def partition_to_msl(p: Partition) -> Msl:
 
     A block a_1 < ... < a_k contributes the long lane E_{a_1}>X_{a_k} and the
     return lanes E_{a_{t+1}}>X_{a_t}; a singleton contributes its U-turn.
+
+    The ``Msl`` scan is the one noncrossing check on the lane side. The exits
+    of any partition of [n] form a permutation whose orbits are its blocks,
+    so distinct partitions give distinct exits; the C_n noncrossing
+    partitions already give all C_n valid MSLs, so the exits of a crossing
+    partition never pass the scan, and its ValueError is re-raised here.
     """
     check_size(p.n, least=1)
-    if not is_noncrossing(p):
-        raise ValueError("partition_to_msl requires a noncrossing partition")
     exits = [0] * p.n
     for block in p.blocks:
         for t, entry in enumerate(block):
             exits[entry - 1] = block[t - 1]  # t = 0 wraps to block[-1], the long lane
-    return Msl(exits)
+    try:
+        return Msl(exits)
+    except ValueError:
+        raise ValueError("partition_to_msl requires a noncrossing partition") from None
 
 
 def msl_to_partition(m: Msl) -> Partition:
@@ -116,6 +127,8 @@ def msl_to_partition(m: Msl) -> Partition:
     always noncrossing: a valid Msl is a noncrossing perfect matching of the
     2n positions, there are C_n of those, and partition_to_msl maps the C_n
     noncrossing partitions onto them injectively, with this map as its inverse.
+    Blocks come out ascending and in order of their least element, so the
+    partition is built without re-validation (``Partition._canonical``).
     """
     blocks = []
     for entry, x in enumerate(m.exits, 1):
@@ -124,8 +137,8 @@ def msl_to_partition(m: Msl) -> Partition:
             while x != entry:
                 x = m.exits[x - 1]
                 block.append(x)
-            blocks.append(block[::-1])
-    return Partition(m.n, blocks)
+            blocks.append(tuple(reversed(block)))
+    return Partition._canonical(m.n, tuple(blocks), None)
 
 
 def is_absolute(m: Msl) -> bool:

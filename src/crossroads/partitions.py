@@ -46,14 +46,15 @@ class Partition:
     """A set partition of {1, ..., n} in canonical form.
 
     Blocks are stored as ascending tuples, ordered by their minimum element.
-    Construction canonicalizes and validates (only the enumeration walker
-    skips both, through :meth:`_canonical`), so two partitions are equal
-    exactly when they partition the same ground set the same way.
+    Construction canonicalizes and validates (only the enumeration walker and
+    ``intersection.msl_to_partition`` skip both, through :meth:`_canonical`),
+    so two partitions are equal exactly when they partition the same ground
+    set the same way.
     """
 
     n: int
     blocks: tuple[tuple[int, ...], ...]
-    _text = None  # slash form stored by _canonical; not a field, so ==, hash and repr ignore it
+    _text = None  # slash form stored by _canonical, if given; not a field, so ==, hash and repr ignore it
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         blocks = [tuple(b) for b in blocks]
@@ -66,12 +67,17 @@ class Partition:
         self._validate()
 
     @classmethod
-    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...], text: str) -> "Partition":
-        """A partition from the walker's blocks and their slash form, neither checked.
+    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...], text: "str | None") -> "Partition":
+        """A partition from canonical blocks and their slash form, neither checked.
 
-        The walker opens blocks in order of their minimum, grows them upward
-        and covers 1..n; ``test_walker_partitions_are_canonical`` checks its
-        output and text against ``Partition(n, blocks)`` through n = 10.
+        ``text`` may be None, and :meth:`to_text` then joins the blocks. Two
+        callers, each guarded by a test that compares its output and text
+        with ``Partition(n, blocks)``: ``enumeration._walk``, which opens
+        blocks in order of their minimum, grows them upward and covers 1..n
+        (``test_walker_partitions_are_canonical``, through n = 10), and
+        ``intersection.msl_to_partition``, which reads each orbit up from its
+        least element (``test_msl_partitions_are_canonical``, through
+        ``MSL_CEILING``).
         """
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from crossroads import COUNT_CEILING, ENUMERATE_CEILING, catalan
+from crossroads import COUNT_CEILING, ENUMERATE_CEILING, MSL_CEILING, catalan
 from crossroads.cli import cli
 
 
@@ -297,11 +297,11 @@ class TestIntersectionCommand:
         assert "1,2,3/4" in partitions
 
     def test_ceiling(self, runner):
-        result = runner.invoke(cli, ["intersection", "--n", "8"])
+        result = runner.invoke(cli, ["intersection", "--n", str(MSL_CEILING + 1)])
         assert result.exit_code == 65
 
     def test_ceiling_writes_no_csv_header(self, runner):
-        result = runner.invoke(cli, ["intersection", "--n", "8", "--format", "csv"])
+        result = runner.invoke(cli, ["intersection", "--n", str(MSL_CEILING + 1), "--format", "csv"])
         assert result.exit_code == 65
         assert result.stdout_bytes == b""
 

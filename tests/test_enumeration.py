@@ -23,6 +23,7 @@ from crossroads import (
     is_noncrossing,
     lower_bound_lonely,
     lower_bound_marriageable,
+    nc_count,
     noncrossing_partitions,
     partition_to_msl,
     tally,
@@ -446,6 +447,7 @@ SIZED = [
     _sized(catalan),
     _sized(stream_tally),
     _sized(lambda n: nc_count_enumerated(n, 1, 0), name="nc_count_enumerated"),
+    _sized(lambda n: nc_count(n, 1, 0), name="nc_count"),
     _sized(lower_bound_lonely, 2),
     _sized(lower_bound_marriageable, 3),
     # an unchecked partition, so the size reaches partition_to_msl's own check

@@ -58,6 +58,12 @@ class TestNcCount:
         with pytest.raises(ValueError):
             nc_count(4, 2, 2)
 
+    def test_rejects_bad_size(self):
+        # a negative size, a bool and a float are refused, not counted or met with TypeError
+        for n, m, k in ((-1, 0, 0), (True, 1, 1), (2.0, 1, 0)):
+            with pytest.raises(ValueError, match="^ground set size must be nonnegative$"):
+                nc_count(n, m, k)
+
     def test_enumerated_cells(self):
         assert nc_count_enumerated(4, 3, 2) == 6
         assert nc_count_enumerated(4, 4, 4) == 1

@@ -18,7 +18,11 @@ from crossroads import (
     tally,
 )
 from crossroads import CountJob
-from crossroads.routes import is_msl, is_noncrossing_definitional, lanes_cross
+from crossroads.routes import all_set_partitions, is_msl, is_noncrossing_definitional, lanes_cross
+
+CLIQUE_SIZES = range(1, 8)
+"""Sizes at which the maximal-clique search over all n*n lanes runs; it grows
+much faster than the bijection image, so it stops below MSL_CEILING."""
 
 
 def P(text):
@@ -184,6 +188,22 @@ class TestBijection:
         with pytest.raises(ValueError, match="requires a noncrossing partition"):
             partition_to_msl(Partition(4, [[1, 3], [2, 4]]))
 
+    def test_rejects_every_crossing_partition(self):
+        # the Msl scan is partition_to_msl's only noncrossing check
+        for n in range(1, 7):
+            for p in all_set_partitions(n):
+                if not is_noncrossing_definitional(p):
+                    with pytest.raises(ValueError, match="^partition_to_msl requires a noncrossing partition$"):
+                        partition_to_msl(p)
+
+    def test_msl_partitions_are_canonical(self):
+        # msl_to_partition builds through Partition._canonical: this is the check it does not make
+        for n in range(1, MSL_CEILING + 1):
+            for m in enumerate_msl(n):
+                p = msl_to_partition(m)
+                checked = Partition(p.n, p.blocks)
+                assert p == checked and p.to_text() == checked.to_text(), m
+
     def test_rejects_empty_ground_set(self):
         with pytest.raises(ValueError):
             partition_to_msl(Partition(0, []))
@@ -243,9 +263,9 @@ class TestEnumerateMsl:
         assert sum(1 for m in msls if is_absolute(m)) == 9
 
     def test_matches_bijection_image(self):
-        # the clique search confirms the bijection image, order included, up to the ceiling;
+        # the clique search confirms the bijection image, order included, at every clique size;
         # Msl() accepting every clique shows that maximal lane sets are perfect matchings
-        for n in range(1, MSL_CEILING + 1):
+        for n in CLIQUE_SIZES:
             found = maximal_cliques(all_lanes(n), n)
             assert list(enumerate_msl(n)) == sorted(map(msl_of, found), key=lambda m: m.exits)
 
@@ -261,7 +281,7 @@ class TestEnumerateMsl:
 
     def test_u_turn_free_cliques_count_lonely(self):
         # README route 4: maximal lane sets of the intersection without U-turns
-        for n in range(1, MSL_CEILING + 1):
+        for n in CLIQUE_SIZES:
             lanes = [(e, x) for e, x in all_lanes(n) if e != x]
             assert sum(1 for _ in maximal_cliques(lanes, n)) == tally(CountJob(n)).lonely
 

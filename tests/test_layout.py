@@ -81,18 +81,33 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_ceiling_errors_are_built_in_one_place():
-    """Every size ceiling is enforced by ``check_size``; only ``cli.verify``'s published-row limit is its own."""
-    found = []
+def _owned_nodes():
+    """Every AST node of the package with ``module.function``, its outermost enclosing function."""
     for path in MODULES:
         tree = ast.parse(path.read_text())
-        owner = {}  # node -> innermost enclosing function, as ast.walk visits outer functions first
+        owner = {}  # node -> outermost enclosing function, as ast.walk visits outer functions first
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((node, func.name) for node in ast.walk(func))
-        found += [
-            f"{path.stem}.{owner.get(node)}" for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CeilingExceededError"
-        ]
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        for node in ast.walk(tree):
+            yield f"{path.stem}.{owner.get(node)}", node
+
+
+def test_ceiling_errors_are_built_in_one_place():
+    """Every size ceiling is enforced by ``check_size``; only ``cli.verify``'s published-row limit is its own."""
+    found = [
+        owner for owner, node in _owned_nodes()
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CeilingExceededError"
+    ]
     assert sorted(found) == ["cli.verify", "partitions.check_size"]
+
+
+def test_unchecked_partitions_are_built_in_two_places():
+    """Only the walker and the lane bijection skip ``Partition`` validation, each guarded by a test."""
+    found = [
+        owner for owner, node in _owned_nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "_canonical"
+    ]
+    assert sorted(found) == ["enumeration._walk", "intersection.msl_to_partition"]
