@@ -14,7 +14,6 @@ lane-model bijection, with a maximal lane set held as the exit of each entry
 (``Msl(exits)``).
 """
 from .enumeration import (
-    COUNT_CEILING,
     ENUMERATE_CEILING,
     CountJob,
     Tally,
@@ -24,6 +23,7 @@ from .enumeration import (
     tally_range,
 )
 from .formulas import (
+    COUNT_CEILING,
     SequenceRow,
     catalan,
     lower_bound_lonely,

@@ -24,12 +24,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterator
 
-from .formulas import catalan
+from .formulas import COUNT_CEILING, catalan
 from .partitions import Classification, Kind, Partition, check_size
-
-COUNT_CEILING = 2000
-"""Largest n accepted by tally and tally_range. On a 2-vCPU host with CPython 3.11,
-``count --n 2000`` takes about 0.15 s and ``bounds --max-n 2000`` about 4.5 s."""
 
 ENUMERATE_CEILING = 500
 """Largest n accepted by noncrossing_partitions and classified_stream; the walker

@@ -409,6 +409,9 @@ class TestGoldenBytes:
         "verify --max-n 12 --format json": (2, "05ac2ee63398b14522bded96ff1dc5a37241bf0636ce048d875ab09b8b9488ba"),
         "bounds --max-n 12 --format text": (0, "1fd729086806c3bc3020c718a8dfbe196dd82d4478336aec14ca2efb4b340ddb"),
         "bounds --max-n 12 --format json": (0, "9fd91e9c0eb2204dca80304c0cb49e8de2b29d5fa65ab71daa1d19785ffcdb09"),
+        # at the ceiling: 6,800,655 and 7,040,122 bytes, pinned from the Riordan convolution
+        "bounds --max-n 2000 --format text": (0, "fe3fabde295c02b711a7e8c0e13fbfaa5ce6ca172fd626d315b81df8cfbbd901"),
+        "bounds --max-n 2000 --format json": (0, "14892ad88f7ea2eeffb2676dcf8b3474a6bb7fbb383db4ceb2674eb4165d2d0f"),
         "conjectures --max-n 12 --format text": (0, "aac114fd8bf32143493499e8653cc488f6ab8133b32dda61d089e64602a45b77"),
         "conjectures --max-n 12 --format json": (0, "cdd5a2ba59c1edf72517fe2c3770f8a47b25f6466fd86acb063b0ca6993fca1e"),
         "conjectures --max-n 12 --format csv": (0, "29e7af06bfd9a020134f8c0ad13ba0aa90a99c2b99da9d248543b55d1091d4d4"),

@@ -26,6 +26,7 @@ from crossroads import (
     nc_count,
     noncrossing_partitions,
     partition_to_msl,
+    ratio_report,
     tally,
     tally_range,
 )
@@ -450,6 +451,7 @@ SIZED = [
     _sized(lambda n: nc_count(n, 1, 0), name="nc_count"),
     _sized(lower_bound_lonely, 2),
     _sized(lower_bound_marriageable, 3),
+    _sized(lambda n: ratio_report(n, tally_range(3)), name="ratio_report"),
     # an unchecked partition, so the size reaches partition_to_msl's own check
     _sized(lambda n: partition_to_msl(Partition._canonical(n, (), "")), 1, "partition_to_msl"),
     _sized(enumerate_msl, 1),
@@ -482,6 +484,9 @@ def test_negative_size_is_rejected(entry, least, n):
     pytest.param(lambda n: nc_count_enumerated(n, 1, 0), "nc_count_enumerated", ORACLE_CEILING,
                  id="nc_count_enumerated"),
     pytest.param(enumerate_msl, "enumerate_msl", MSL_CEILING, id="enumerate_msl"),
+    pytest.param(lower_bound_lonely, "lower_bound_lonely", COUNT_CEILING, id="lower_bound_lonely"),
+    pytest.param(lower_bound_marriageable, "lower_bound_marriageable", COUNT_CEILING,
+                 id="lower_bound_marriageable"),
 ])
 def test_size_above_the_ceiling_is_rejected(entry, what, ceiling):
     with pytest.raises(CeilingExceededError, match=f"^{what} is capped at n={ceiling}, got {ceiling + 1}$"):

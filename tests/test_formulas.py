@@ -5,6 +5,7 @@ from math import floor
 import pytest
 
 from crossroads import (
+    COUNT_CEILING,
     CeilingExceededError,
     SequenceRow,
     Tally,
@@ -17,6 +18,7 @@ from crossroads import (
     tally_range,
     two_digits,
 )
+from crossroads import formulas
 from crossroads.routes import nc_count_enumerated
 
 # Values frozen after checking each one against the enumeration oracle
@@ -63,6 +65,12 @@ class TestNcCount:
         for n, m, k in ((-1, 0, 0), (True, 1, 1), (2.0, 1, 0)):
             with pytest.raises(ValueError, match="^ground set size must be nonnegative$"):
                 nc_count(n, m, k)
+
+    @pytest.mark.parametrize("n, m, k", [(4, True, 0), (1, 1, True), (4, 2.0, 0)])
+    def test_rejects_non_int_counts(self, n, m, k):
+        # bools used to count as 1, a float raised TypeError from comb
+        with pytest.raises(ValueError, match="^block and singleton counts must be ints$"):
+            nc_count(n, m, k)
 
     def test_enumerated_cells(self):
         assert nc_count_enumerated(4, 3, 2) == 6
@@ -129,19 +137,22 @@ class TestLowerBounds:
             lower_bound_marriageable(2)
 
     def test_riordan_forms_equal_the_nc_count_sums(self):
-        # the bounds as sums of nc_count over blocks, and over pairs (i, j)
-        no_singleton = [sum(nc_count(k, m, 0) for m in range(k // 2 + 1)) for k in range(60)]
-        for n in range(2, 60):
+        # the bounds as sums of nc_count over blocks, and over the distance d
+        # of a singleton pair: the n-d pairs at distance d split [n] into
+        # singleton-free parts of sizes d-1 and n-d-1
+        no_singleton = [sum(nc_count(k, m, 0) for m in range(k // 2 + 1)) for k in range(401)]
+        for n in range(2, 401):
             zero = sum(nc_count(n, m, 0) for m in range(1, n // 2 + 1))
             one = sum(nc_count(n, m, 1) for m in range(2, (n + 1) // 2 + 1))
             assert lower_bound_lonely(n) == zero + one, n
-        for n in range(3, 60):
-            pairs = sum(
-                no_singleton[n + i - j - 1] * no_singleton[j - i - 1]
-                for i in range(1, n + 1)
-                for j in range(i + 1, n + 1)
-            )
+        for n in range(3, 401):
+            pairs = sum((n - d) * no_singleton[n - d - 1] * no_singleton[d - 1] for d in range(1, n))
             assert lower_bound_marriageable(n) == pairs, n
+
+    def test_riordan_memo_stops_at_the_ceiling(self):
+        lower_bound_lonely(COUNT_CEILING)
+        lower_bound_marriageable(COUNT_CEILING)
+        assert len(formulas._RIORDAN) <= COUNT_CEILING + 1
 
     def test_bounds_hold_against_tallies(self):
         tallies = tally_range(14)
@@ -176,6 +187,12 @@ class TestTwoDigits:
         # floor division would round a negative ratio the wrong way
         for num, den in [(-1, 4), (1, -4)]:
             with pytest.raises(ValueError):
+                two_digits(num, den)
+
+    def test_non_int_rejected(self):
+        # a float met a format-code error, a bool rendered as 1
+        for num, den in [(1.5, 2), (True, 2), (1, 2.0), (1, False)]:
+            with pytest.raises(ValueError, match="^two_digits renders ratios of ints only$"):
                 two_digits(num, den)
 
     def test_every_ratio_cell_to_the_ceiling_is_exact_half_up(self):
