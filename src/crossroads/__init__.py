@@ -33,7 +33,6 @@ from .formulas import (
     two_digits,
 )
 from .intersection import (
-    MSL_CEILING,
     Msl,
     enumerate_msl,
     is_absolute,
@@ -67,7 +66,6 @@ __all__ = [
     "ENUMERATE_CEILING",
     "Kind",
     "MAX_PUBLISHED_N",
-    "MSL_CEILING",
     "Msl",
     "Partition",
     "SEQUENCE_IDS",

@@ -28,8 +28,9 @@ from .formulas import COUNT_CEILING, catalan
 from .partitions import Classification, Kind, Partition, check_size
 
 ENUMERATE_CEILING = 500
-"""Largest n accepted by noncrossing_partitions and classified_stream; the walker
-nests one generator frame per position, past the default recursion limit near n = 990."""
+"""Largest n accepted by noncrossing_partitions, classified_stream and
+enumerate_msl, which streams the walker's image; the walker nests one
+generator frame per position, past the default recursion limit near n = 990."""
 
 _LONELY = Classification(Kind.LONELY)
 

@@ -17,8 +17,8 @@ the first, :func:`is_absolute` the second, since two U-turns can be rewired
 exactly when they share a region. That scan is the one noncrossing check on
 the lane side: :func:`partition_to_msl` leaves it to ``Msl``, and
 :func:`msl_to_partition` builds its canonical partition without a second
-check. The MSLs are listed as the image of the partition walker under the
-bijection.
+check. The MSLs are streamed as the image of the partition walker under the
+bijection, in the walker's order.
 """
 from __future__ import annotations
 
@@ -27,11 +27,6 @@ from typing import Iterable, Iterator
 
 from .enumeration import noncrossing_partitions
 from .partitions import Partition, check_size
-
-MSL_CEILING = 10
-"""Largest n accepted by enumerate_msl: ``intersection --n 10`` (16796 lane
-sets) takes 0.7-0.8 s at 20 MB peak RSS on a 2-vCPU host under CPython 3.11,
-and n = 11 would take 2.5 s at 30 MB."""
 
 
 def _u_turn_regions(exits: "tuple[int, ...]") -> "list[int] | None":
@@ -158,10 +153,12 @@ def is_absolute(m: Msl) -> bool:
 
 
 def enumerate_msl(n: int) -> Iterator[Msl]:
-    """Every MSL of the size-n intersection, sorted by their exits.
+    """Every MSL of the size-n intersection, streamed in the walker's order.
 
-    The image of the noncrossing partitions of [n] under partition_to_msl.
-    Capped by MSL_CEILING.
+    The image of ``noncrossing_partitions(n)`` under partition_to_msl, one
+    lane set per partition and nothing held back, so ``msl_to_partition``
+    gives the walker's stream back item for item. Raises
+    CeilingExceededError past ENUMERATE_CEILING, when the first item is drawn.
     """
-    check_size(n, least=1, ceiling=MSL_CEILING, what="enumerate_msl")
-    yield from sorted(map(partition_to_msl, noncrossing_partitions(n)), key=lambda m: m.exits)
+    check_size(n, least=1)
+    yield from map(partition_to_msl, noncrossing_partitions(n))

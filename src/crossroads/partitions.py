@@ -76,8 +76,7 @@ class Partition:
         blocks in order of their minimum, grows them upward and covers 1..n
         (``test_walker_partitions_are_canonical``, through n = 10), and
         ``intersection.msl_to_partition``, which reads each orbit up from its
-        least element (``test_msl_partitions_are_canonical``, through
-        ``MSL_CEILING``).
+        least element (``test_msl_partitions_are_canonical``, through n = 10).
         """
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
@@ -98,8 +97,9 @@ class Partition:
                     raise ValueError(f"element {x} appears twice")
                 seen.add(x)
         if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
-            raise ValueError(f"missing elements {missing}")
+            # from the elements given, not from 1..n: a short text may name a huge n
+            least = next((i for i, x in enumerate(sorted(seen), 1) if i != x), len(seen) + 1)
+            raise ValueError(f"missing {self.n - len(seen)} of the elements 1..{self.n}, the least {least}")
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from crossroads import COUNT_CEILING, ENUMERATE_CEILING, MSL_CEILING, catalan
+from crossroads import COUNT_CEILING, ENUMERATE_CEILING, catalan
 from crossroads.cli import cli
 
 
@@ -297,13 +297,30 @@ class TestIntersectionCommand:
         assert "1,2,3/4" in partitions
 
     def test_ceiling(self, runner):
-        result = runner.invoke(cli, ["intersection", "--n", str(MSL_CEILING + 1)])
+        result = runner.invoke(cli, ["intersection", "--n", str(ENUMERATE_CEILING + 1)])
         assert result.exit_code == 65
+        assert result.stderr == "error: enumeration is capped at n=500, got 501\n"
 
-    def test_ceiling_writes_no_csv_header(self, runner):
-        result = runner.invoke(cli, ["intersection", "--n", str(MSL_CEILING + 1), "--format", "csv"])
+    def test_ceiling_writes_no_csv_header(self, runner, tmp_path):
+        argv = ["intersection", "--n", str(ENUMERATE_CEILING + 1), "--format", "csv"]
+        result = runner.invoke(cli, argv)
         assert result.exit_code == 65
         assert result.stdout_bytes == b""
+        target = tmp_path / "out"
+        assert runner.invoke(cli, argv + ["--output", str(target)]).exit_code == 65
+        assert not target.exists()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_partition_column_is_the_enumerate_stream(self, runner, n):
+        # the lane sets come in the walker's order, so the partitions match enumerate's line for line
+        def column(argv, index):
+            result = runner.invoke(cli, argv + ["--n", str(n), "--format", "csv"])
+            assert result.exit_code == 0
+            return [row[index] for row in csv.reader(io.StringIO(result.output))][1:]
+
+        partitions = column(["intersection"], 2)
+        assert len(partitions) == catalan(n)
+        assert partitions == column(["enumerate"], 0)
 
     def test_runs_with_networkx_blocked(self):
         # the lane sets come from the partition walker, no graph library: an import of networkx would fail here
@@ -427,21 +444,22 @@ class TestGoldenBytes:
         "enumerate --n 0 --format csv": (0, "105433f65a397a5fa2c35ba37ecc118e78dc09f55a069b2069d6b9e55bd019fa"),
         "enumerate --n 0 --format csv --class lonely": (0, "105433f65a397a5fa2c35ba37ecc118e78dc09f55a069b2069d6b9e55bd019fa"),
         "enumerate --n 0 --format csv --class marriageable": (0, "f9dcfc727b4021873255852059ceb7e36bc20160fb6eb48548017aa2f423bad5"),
-        "intersection --n 4 --format text": (0, "329c8ae9e24c354d740d91f4ab5a4777716dd7f7f075024bf7acb89d96544dcb"),
-        "intersection --n 4 --format json": (0, "fe8d0cfd1b56d023d5af0d3b3fd78ec8014e4e47ad7017b99412fb0e2dd9c677"),
-        "intersection --n 4 --format csv": (0, "2ac6a5c795a6276d4e6ec6652798d4343ac88a11b673b2504fdd0553dd18b4cd"),
+        # intersection rows come in the walker's order, enumerate's partitions line for line
+        "intersection --n 4 --format text": (0, "4a230b6e2ba2eb3b2c9e62a82aa0680d841c8b370a22c450f3b68263dce7a578"),
+        "intersection --n 4 --format json": (0, "c93bc0aedd359b41a855d246d2fc279ebe63b234d78f4e51d930539772bae167"),
+        "intersection --n 4 --format csv": (0, "7fba78ac809cd78bff1d13efae5fd65ad126fec715fbab8bc1928fe49180e59b"),
         "intersection --n 1 --format text": (0, "4469c55bb960d51e690801a82e504aa293b2249c76d8d4fd38a39f0fa538a38a"),
         "intersection --n 1 --format json": (0, "bc12be48a942a6d3c1d65f23560b7e1447565483781aa9a53033cad9c83ef96a"),
         "intersection --n 1 --format csv": (0, "10a2ebe73cc21f8f07c7b745a9528720b3ee93c189b45bab150eeb549c4e21c3"),
-        "intersection --n 5 --format text": (0, "4f7faf193953fc958366ee26aa6b62067222c6b40bd275225f772eeb7339cdff"),
-        "intersection --n 5 --format json": (0, "774c41deb36a4b383863d4d054baa3530f9a63bae9062712bfa87f96b52043e2"),
-        "intersection --n 5 --format csv": (0, "032f5c261dca62f505f7924d4b662f76983ae09a8669d0c4dde5b5f7558b02aa"),
-        "intersection --n 6 --format text": (0, "b812b938ed5cb8e38f2b5c5298a1e233101bf8fc6de966271e0a17f764d38f0a"),
-        "intersection --n 6 --format json": (0, "96d9f4e90c613771983aecad79fb177a98b8e2488f5518a5c93464b96f9a9e37"),
-        "intersection --n 6 --format csv": (0, "e87a607f67e02ac81aae24912bec90409a3c1b6a87019fa9c12b9addb0553384"),
-        "intersection --n 7 --format text": (0, "4b4e33ffb82120c5122d63c8fe90e132d7b17291a4a586f9590b4540ccaebeaf"),
-        "intersection --n 7 --format json": (0, "a4887618535a070d0c829808aade946cac7578fedb3ee15d946a63d9aa7b4b6c"),
-        "intersection --n 7 --format csv": (0, "b3d5ff61e79b272428e98edd357cb443200c5631eb4e1c986b6ed20630ada51f"),
+        "intersection --n 5 --format text": (0, "f127c4583b4fb7aa52696dcc91c8a856a188e3d4a7cfa75aaa931edd911101c9"),
+        "intersection --n 5 --format json": (0, "fab11bb02bad6b3f17280337cb7a9e0dcd5938ff40dd67a052ac7598bf8e8e52"),
+        "intersection --n 5 --format csv": (0, "a20b95f74b5da424af9740dbdcf2f096ae8ba97983553bd2648f32a6858494fd"),
+        "intersection --n 6 --format text": (0, "83ad107b3c3bbabb2e4254aa2ff0cf94c2ce16d390591c7fa9e2af8053d7c4b0"),
+        "intersection --n 6 --format json": (0, "e7ff3eb178edffeb21286dbe007314c0a227771b2dad0dd003e1f54f323ed3f2"),
+        "intersection --n 6 --format csv": (0, "598dd3320f00b1dd3e545d6f1906b0483644e6a39db248755a7eb74f9091d1c4"),
+        "intersection --n 7 --format text": (0, "4a90f70a3e0f7aece307af2ac8aa6feff27bebd6ff32cc9fb43a508a02d1ab54"),
+        "intersection --n 7 --format json": (0, "d3de0b69ef2c4e388f53e7d6fa56f28a9de0299fb7d4effd1317186875578273"),
+        "intersection --n 7 --format csv": (0, "ea5beb47ca506da2f1acbeb40a380211d57cc51c7df70d2f150e476faeaad9d6"),
         "bfile --seq L --max-n 20": (0, "dab5a6e13cfef02a12168eab734a42182b178c894733a342311cc4b06fd572cd"),
         "bfile --seq M --max-n 20": (0, "1347e296218558183c41308c71b92af358e30593fbdd1cebfef405ab45e45a7f"),
     }

@@ -10,7 +10,6 @@ from conftest import classify_definitional
 from crossroads import (
     COUNT_CEILING,
     ENUMERATE_CEILING,
-    MSL_CEILING,
     CeilingExceededError,
     CountJob,
     Kind,
@@ -483,7 +482,7 @@ def test_negative_size_is_rejected(entry, least, n):
     pytest.param(stream_tally, "stream_tally", STREAM_CEILING, id="stream_tally"),
     pytest.param(lambda n: nc_count_enumerated(n, 1, 0), "nc_count_enumerated", ORACLE_CEILING,
                  id="nc_count_enumerated"),
-    pytest.param(enumerate_msl, "enumerate_msl", MSL_CEILING, id="enumerate_msl"),
+    pytest.param(enumerate_msl, "enumeration", ENUMERATE_CEILING, id="enumerate_msl"),
     pytest.param(lower_bound_lonely, "lower_bound_lonely", COUNT_CEILING, id="lower_bound_lonely"),
     pytest.param(lower_bound_marriageable, "lower_bound_marriageable", COUNT_CEILING,
                  id="lower_bound_marriageable"),

@@ -1,10 +1,11 @@
+import tracemalloc
 from itertools import combinations, permutations
 from typing import Iterator
 
 import pytest
 
 from crossroads import (
-    MSL_CEILING,
+    ENUMERATE_CEILING,
     CeilingExceededError,
     Msl,
     Partition,
@@ -22,7 +23,7 @@ from crossroads.routes import all_set_partitions, is_msl, is_noncrossing_definit
 
 CLIQUE_SIZES = range(1, 8)
 """Sizes at which the maximal-clique search over all n*n lanes runs; it grows
-much faster than the bijection image, so it stops below MSL_CEILING."""
+much faster than the bijection image, so it stops at n = 7."""
 
 
 def P(text):
@@ -198,7 +199,7 @@ class TestBijection:
 
     def test_msl_partitions_are_canonical(self):
         # msl_to_partition builds through Partition._canonical: this is the check it does not make
-        for n in range(1, MSL_CEILING + 1):
+        for n in range(1, 11):
             for m in enumerate_msl(n):
                 p = msl_to_partition(m)
                 checked = Partition(p.n, p.blocks)
@@ -263,11 +264,29 @@ class TestEnumerateMsl:
         assert sum(1 for m in msls if is_absolute(m)) == 9
 
     def test_matches_bijection_image(self):
-        # the clique search confirms the bijection image, order included, at every clique size;
+        # the clique search confirms the bijection image as a set at every clique size;
         # Msl() accepting every clique shows that maximal lane sets are perfect matchings
+        def key(m):
+            return m.exits
+
         for n in CLIQUE_SIZES:
             found = maximal_cliques(all_lanes(n), n)
-            assert list(enumerate_msl(n)) == sorted(map(msl_of, found), key=lambda m: m.exits)
+            assert sorted(enumerate_msl(n), key=key) == sorted(map(msl_of, found), key=key)
+
+    def test_walker_order(self):
+        # the lane stream is the walker's stream under the bijection, item for item
+        for n in range(1, 11):
+            assert [msl_to_partition(m) for m in enumerate_msl(n)] == list(noncrossing_partitions(n))
+
+    def test_streams_without_buffering(self):
+        # the C_10 = 16796 lane sets are never held at once
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in enumerate_msl(10)) == 16796
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_absolute_iff_lonely(self):
         for n in range(1, 10):
@@ -297,7 +316,8 @@ class TestEnumerateMsl:
         assert first == second
 
     def test_ceiling(self):
-        with pytest.raises(CeilingExceededError):
-            next(enumerate_msl(MSL_CEILING + 1))
+        # the walker's ceiling, checked when the first item is drawn
+        with pytest.raises(CeilingExceededError, match="^enumeration is capped at n=500, got 501$"):
+            next(enumerate_msl(ENUMERATE_CEILING + 1))
         with pytest.raises(ValueError):
             next(enumerate_msl(0))

@@ -3,12 +3,14 @@ import ast
 import functools
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
 import crossroads
+import crossroads.routes
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -111,3 +113,16 @@ def test_unchecked_partitions_are_built_in_two_places():
         if isinstance(node, ast.Attribute) and node.attr == "_canonical"
     ]
     assert sorted(found) == ["enumeration._walk", "intersection.msl_to_partition"]
+
+
+def test_readme_ceilings_are_the_code_ceilings():
+    """Every `X_CEILING` the README names is a constant of the package or its routes, with the value it states."""
+    readme = (ROOT / "README.md").read_text()
+    named = re.findall(r"`([A-Z_]+_CEILING)`(?:\s*=\s*(\d+))?", readme)  # the value may follow a line break
+    assert sum(1 for _, value in named if value) >= 5
+    wrong = []
+    for name, value in named:
+        module = next((m for m in (crossroads, crossroads.routes) if hasattr(m, name)), None)
+        if module is None or value and getattr(module, name) != int(value):
+            wrong.append(f"{name} = {value}" if value else name)
+    assert wrong == []

@@ -56,8 +56,14 @@ class TestPartitionValue:
             Partition(3, [[1, 2], [2, 3]])
 
     def test_rejects_missing_elements(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^missing 1 of the elements 1\.\.3, the least 2$"):
             Partition(3, [[1, 3]])
+
+    def test_missing_elements_message_does_not_grow_with_n(self):
+        # the message is built from the elements given, not from a set of 1..n
+        with pytest.raises(ValueError) as caught:
+            Partition.from_text("100000")
+        assert len(str(caught.value)) < 200
 
     def test_rejects_bools(self):
         for blocks in ([[True], [2]], [[1], [2, True]], [[False], [1, 2]]):
