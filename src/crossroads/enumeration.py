@@ -66,8 +66,9 @@ class Tally:
 class CountJob:
     """A counting request for the partitions of [n].
 
-    ``workers`` is validated but has no effect: the recurrence runs in one
-    process. It stays so that callers passing it keep working.
+    ``workers`` is validated, None or a positive int (not a bool), but has no
+    effect: the recurrence runs in one process. It stays so that callers
+    passing it keep working.
     """
 
     n: int
@@ -75,8 +76,8 @@ class CountJob:
 
     def __post_init__(self):
         check_size(self.n)
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be positive")
+        if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
+            raise ValueError("workers must be a positive int")
 
 
 def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[Partition, Classification]]":

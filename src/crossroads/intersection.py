@@ -11,14 +11,14 @@ MSL is *absolute* when no two of its U-turns can be rewired into the pair
 E_i>X_j, E_j>X_i to yield another MSL. Absolute MSLs correspond exactly to
 the lonely partitions.
 
-One parenthesis scan over the 2n circle positions decides nesting and finds
-each U-turn's region, the innermost lane around it: ``Msl`` validation reads
-the first, :func:`is_absolute` the second, since two U-turns can be rewired
-exactly when they share a region. That scan is the one noncrossing check on
-the lane side: :func:`partition_to_msl` leaves it to ``Msl``, and
-:func:`msl_to_partition` builds its canonical partition without a second
-check. The MSLs are streamed as the image of the partition walker under the
-bijection, in the walker's order.
+One parenthesis scan over the entries, taking E_i and then X_i, decides
+nesting and finds each U-turn's region, the innermost lane around it: ``Msl``
+validation reads the first, :func:`is_absolute` the second, since two U-turns
+can be rewired exactly when they share a region. That scan is the one
+noncrossing check on the lane side: :func:`partition_to_msl` leaves it to
+``Msl``, and :func:`msl_to_partition` builds its canonical partition without
+a second check. The MSLs are streamed as the image of the partition walker
+under the bijection, in the walker's order.
 """
 from __future__ import annotations
 
@@ -32,25 +32,30 @@ from .partitions import Partition, check_size
 def _u_turn_regions(exits: "tuple[int, ...]") -> "list[int] | None":
     """Each U-turn's region in entry order, or None when the chords cross.
 
-    One parenthesis scan of the chords (2i-1, 2*exits[i-1]) over positions
-    1..2n; ``exits`` is a permutation, so nesting is being pairwise
-    noncrossing. A U-turn's region is the far end of the innermost chord
-    around it, 0 at the top level.
+    One parenthesis scan over E_1, X_1, ..., E_n, X_n; ``exits`` is a
+    permutation, so nesting is being pairwise noncrossing. The stack holds
+    the open lanes: a lane opened at an entry as its exit j, one opened at
+    exit X_i as -i, and the top level as 0. X_i closes the top lane if that
+    lane is i and otherwise opens -i; an entry whose exit x lies before it
+    must close -x. The chords nest exactly when every close matches and only
+    the top level is left. A U-turn opens and closes at once, so its region
+    is the top of the stack, the id of the innermost lane around it.
     """
-    other = [0] * (2 * len(exits) + 1)
-    for entry, exit in enumerate(exits, 1):
-        p, q = 2 * entry - 1, 2 * exit
-        other[p], other[q] = q, p
-    open_ends = [0]
+    open_lanes = [0]
     regions = []
-    for pos in range(1, len(other)):
-        if other[pos] > pos:
-            if pos % 2 and other[pos] == pos + 1:
-                regions.append(open_ends[-1])
-            open_ends.append(other[pos])
-        elif open_ends.pop() != pos:
+    for entry, exit in enumerate(exits, 1):
+        if exit > entry:  # E_entry opens a lane, and X_entry cannot close it: it opens -entry
+            open_lanes.append(exit)
+            open_lanes.append(-entry)
+        elif exit == entry:
+            regions.append(open_lanes[-1])
+        elif open_lanes.pop() != -exit:
             return None
-    return regions
+        elif open_lanes[-1] == entry:
+            open_lanes.pop()
+        else:
+            open_lanes.append(-entry)
+    return regions if len(open_lanes) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -106,8 +111,10 @@ def partition_to_msl(p: Partition) -> Msl:
     check_size(p.n, least=1)
     exits = [0] * p.n
     for block in p.blocks:
-        for t, entry in enumerate(block):
-            exits[entry - 1] = block[t - 1]  # t = 0 wraps to block[-1], the long lane
+        prev = block[-1]  # the long lane from the least element
+        for entry in block:
+            exits[entry - 1] = prev
+            prev = entry
     try:
         return Msl(exits)
     except ValueError:
@@ -132,7 +139,8 @@ def msl_to_partition(m: Msl) -> Partition:
             while x != entry:
                 x = m.exits[x - 1]
                 block.append(x)
-            blocks.append(tuple(reversed(block)))
+            block.reverse()
+            blocks.append(tuple(block))
     return Partition._canonical(m.n, tuple(blocks), None)
 
 
@@ -146,7 +154,9 @@ def is_absolute(m: Msl) -> bool:
     it encloses one of the two U-turns but not the other. The chords around a
     U-turn form a chain, so such a chord exists exactly when the innermost
     ones differ: the MSL is absolute exactly when no two U-turns share a
-    region (see :func:`_u_turn_regions`).
+    region. :func:`_u_turn_regions` names each region by the id of that
+    innermost lane (its exit j, or -i for a lane opened at X_i, 0 for the top
+    level), one id per lane, so equal ids are a shared region.
     """
     regions = _u_turn_regions(m.exits)
     return len(set(regions)) == len(regions)

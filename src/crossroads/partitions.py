@@ -79,9 +79,7 @@ class Partition:
         least element (``test_msl_partitions_are_canonical``, through n = 10).
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_text", text)
+        self.__dict__.update(n=n, blocks=blocks, _text=text)  # one write past the frozen __setattr__
         return self
 
     def _validate(self) -> None:

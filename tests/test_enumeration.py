@@ -372,8 +372,10 @@ class TestJobsAndValidation:
     def test_count_job_validation(self):
         with pytest.raises(ValueError):
             CountJob(-1)
-        with pytest.raises(ValueError):
-            CountJob(3, workers=0)
+        for workers in (0, True, 2.5, "2"):
+            with pytest.raises(ValueError, match="^workers must be a positive int$"):
+                CountJob(3, workers=workers)
+        assert CountJob(3, workers=2).workers == 2
 
 
 class TestClassifiedStream:
@@ -414,6 +416,7 @@ class TestClassifiedStream:
                 for p, _ in classified_stream(n, kind):
                     checked = Partition(p.n, p.blocks)
                     assert p == checked and p.to_text() == checked.to_text(), (n, kind)
+                    assert hash(p) == hash(checked) and repr(p) == repr(checked), (n, kind)
                     assert Partition.from_text(p.to_text()) == p, (n, kind)
             items = list(classified_stream(n))
             assert list(noncrossing_partitions(n)) == [p for p, _ in items], n

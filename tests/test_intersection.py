@@ -151,7 +151,7 @@ class TestMslValue:
                 Msl(exits)
 
     def test_scan_agrees_with_the_definition(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             for exits in permutations(range(1, n + 1)):
                 if is_msl(enumerate(exits, 1), n):
                     assert Msl(exits).exits == exits
@@ -204,6 +204,7 @@ class TestBijection:
                 p = msl_to_partition(m)
                 checked = Partition(p.n, p.blocks)
                 assert p == checked and p.to_text() == checked.to_text(), m
+                assert hash(p) == hash(checked) and repr(p) == repr(checked), m
 
     def test_rejects_empty_ground_set(self):
         with pytest.raises(ValueError):
@@ -249,7 +250,7 @@ class TestAbsolute:
         def rewired(m, i, j):
             return [(e, x) for e, x in enumerate(m.exits, 1) if e not in (i, j)] + [(i, j), (j, i)]
 
-        for n in range(1, 7):
+        for n in range(1, 8):
             for m in enumerate_msl(n):
                 rewirable = any(is_msl(rewired(m, i, j), n) for i, j in combinations(m.u_turns, 2))
                 assert is_absolute(m) == (not rewirable)

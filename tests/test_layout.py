@@ -1,5 +1,6 @@
 """The package layout: what the CLI loads, where imports sit, what the root exports."""
 import ast
+import dataclasses
 import functools
 import importlib
 import os
@@ -84,14 +85,21 @@ def test_every_traced_name_resolves():
 
 
 def _owned_nodes():
-    """Every AST node of the package with ``module.function``, its outermost enclosing function."""
+    """Every AST node of the package with ``module.function``, its outermost enclosing function.
+
+    A method is named with its class, as ``module.Class.method``.
+    """
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in MODULES:
         tree = ast.parse(path.read_text())
-        owner = {}  # node -> outermost enclosing function, as ast.walk visits outer functions first
+        names = {}  # method -> Class.method
+        owner = {}  # node -> outermost enclosing function, as ast.walk visits outer nodes first
         for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(func, ast.ClassDef):
+                names.update((f, f"{func.name}.{f.name}") for f in func.body if isinstance(f, functions))
+            elif isinstance(func, functions):
                 for node in ast.walk(func):
-                    owner.setdefault(node, func.name)
+                    owner.setdefault(node, names.get(func, func.name))
         for node in ast.walk(tree):
             yield f"{path.stem}.{owner.get(node)}", node
 
@@ -113,6 +121,18 @@ def test_unchecked_partitions_are_built_in_two_places():
         if isinstance(node, ast.Attribute) and node.attr == "_canonical"
     ]
     assert sorted(found) == ["enumeration._walk", "intersection.msl_to_partition"]
+
+
+def test_lane_regions_are_scanned_in_two_places():
+    """One lane scan with two readers: ``Msl`` validation reads its verdict, ``is_absolute`` its regions."""
+    found = [
+        owner for owner, node in _owned_nodes()
+        if getattr(node, "id", getattr(node, "attr", None)) == "_u_turn_regions"
+    ]
+    assert sorted(found) == ["intersection.Msl.__init__", "intersection.is_absolute"]
+    # and nothing caches the regions: a lane set is its exit permutation alone
+    assert [f.name for f in dataclasses.fields(crossroads.Msl)] == ["exits"]
+    assert vars(crossroads.Msl((1,))) == {"exits": (1,)}
 
 
 def test_readme_ceilings_are_the_code_ceilings():
