@@ -4,7 +4,7 @@ Eight subcommands over the library: count, table, verify, enumerate, bounds,
 conjectures, intersection, bfile. Each command hands its rows, tuples in the
 order of its column names, to one renderer, :func:`_render`, which writes text
 by default and json or csv on request (bfile: text only). Reports pass a list,
-enumerate and intersection stream a generator; both are written row by row.
+enumerate and intersection stream a generator; both are written in chunks.
 Exit codes: 0 success, 1 an output path could not be written, 2 a verification
 or bound check found mismatches, 64 usage errors, 65 a resource or data
 ceiling was exceeded.
@@ -47,13 +47,20 @@ def _cell(value, words=("false", "true")) -> str:
     return str(value)
 
 
+CHUNK_LINES = 512
+"""Most lines :func:`_render` joins into one write call. Larger chunks save
+few calls and hold more text at once."""
+
+
 @contextlib.contextmanager
 def _lines(output: "str | None"):
     """A write function for the --output file, or for stdout when none is given.
 
-    Writes are buffered, never flushed per line. Stdout is flushed once at
-    the end, still inside the command, so that :class:`_Group` sees a broken
-    pipe.
+    Each call reaches the file object as it is: on a write-through stdout
+    (``python -u``, ``PYTHONUNBUFFERED=1``) it is one system call, which is
+    why :func:`_render` joins its lines into chunks. Stdout is flushed once
+    at the end, still inside the command, so that :class:`_Group` sees a
+    broken pipe.
     """
     if output:
         with open(output, "w") as fh:
@@ -66,7 +73,9 @@ def _lines(output: "str | None"):
 def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, document=None):
     """Write ``rows``, tuples in ``columns`` order, in format ``fmt``.
 
-    Rows are written one by one through a buffered write.
+    Rows become lines lazily, and the lines are written in chunks of at most
+    :data:`CHUNK_LINES`, one write call per chunk, so a stream is never held
+    whole.
     csv: a header, then a line per row, each ending in "\\n"; None is empty,
     bools are true/false, partition and lanes are quoted.
     json: ``document(records)`` as one line, each record ``dict(zip(columns,
@@ -78,27 +87,24 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
     rows = iter(rows)
     # draw the first row before opening the output: a stream past its ceiling writes nothing
     rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
+    if fmt == "csv":
+        template = ",".join('"{}"' if c in _QUOTED else "{}" for c in columns) + "\n"
+        lines = itertools.chain([",".join(columns) + "\n"],
+                                (template.format(*map(_cell, row)) for row in rows))
+    elif fmt == "json" and document:
+        records = [{c: _jnum(v) for c, v in zip(columns, row)} for row in rows]
+        lines = iter([_encode(document(records)) + "\n"])
+    elif fmt == "json":
+        template = "{{" + ",".join(_encode(c) + ":{}" for c in columns) + "}}\n"
+        lines = (template.format(*map(_encode, row)) for row in rows)
+    elif width:
+        lines = (" ".join(_cell(v, ("no", "yes")).rjust(width) for v in row) + "\n"
+                 for row in itertools.chain([columns], rows))
+    else:
+        lines = itertools.chain((line(*row) + "\n" for row in rows), [summary + "\n"] if summary else [])
     with _lines(output) as put:
-        if fmt == "csv":
-            put(",".join(columns) + "\n")
-            template = ",".join('"{}"' if c in _QUOTED else "{}" for c in columns) + "\n"
-            for row in rows:
-                put(template.format(*map(_cell, row)))
-        elif fmt == "json" and document:
-            records = [{c: _jnum(v) for c, v in zip(columns, row)} for row in rows]
-            put(_encode(document(records)) + "\n")
-        elif fmt == "json":
-            template = "{{" + ",".join(_encode(c) + ":{}" for c in columns) + "}}\n"
-            for row in rows:
-                put(template.format(*map(_encode, row)))
-        elif width:
-            for row in itertools.chain([columns], rows):
-                put(" ".join(_cell(v, ("no", "yes")).rjust(width) for v in row) + "\n")
-        else:
-            for row in rows:
-                put(line(*row) + "\n")
-            if summary:
-                put(summary + "\n")
+        while chunk := list(itertools.islice(lines, CHUNK_LINES)):
+            put("".join(chunk))
 
 
 class _Group(click.Group):

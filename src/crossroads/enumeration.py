@@ -30,7 +30,9 @@ from .partitions import Classification, Kind, Partition, check_size
 ENUMERATE_CEILING = 500
 """Largest n accepted by noncrossing_partitions, classified_stream and
 enumerate_msl, which streams the walker's image; the walker nests one
-generator frame per position, past the default recursion limit near n = 990."""
+generator frame per position, the frame of position n making the forced last
+move and yielding the leaf; that nesting passes the default recursion limit
+at n = 995."""
 
 _LONELY = Classification(Kind.LONELY)
 
@@ -90,6 +92,9 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[Partition, Class
     every prefix holding a pair; MARRIAGEABLE skips the lonely leaves.
     Beside each block the walk keeps its text, so a leaf costs one tuple and
     one join; the partition is built unchecked by ``Partition._canonical``.
+    The move at n is forced (close the one open block, or add a singleton
+    at the top level), so the frame of position n makes it and yields the
+    leaf. Leaves with the same witness share one frozen ``Classification``.
     """
     check_size(n, ceiling=ENUMERATE_CEILING, what="enumeration")
     if kind is not None:
@@ -101,12 +106,37 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[Partition, Class
     firsts = [0]  # first singleton of each region's current gap: the top level, then each open block
     lonely_only = kind is Kind.LONELY
     marriageable_only = kind is Kind.MARRIAGEABLE
+    classes = {None: _LONELY}  # witness -> its classification, one per witness: n(n-1)/2 pairs at most
 
     def walk(pos: int, witness: "tuple[int, int] | None"):
-        if pos > n:
+        if pos >= n:
+            # the move at n is forced, so it is made here and not one frame deeper;
+            # pos > n only when n == 0, which makes no move
+            if stack:
+                # close the one open block
+                top = stack[0]
+                block, text = blocks[top], texts[top]
+                blocks[top], texts[top] = block + (pos,), text + "," + names[pos]
+            elif pos == n:
+                # a singleton at the top level, the only region left
+                first = firsts[0]
+                if first:
+                    if lonely_only:
+                        return
+                    pair = (first, pos)
+                    witness = pair if witness is None else min(witness, pair)
+                blocks.append((pos,))
+                texts.append(names[pos])
             if witness is not None or not marriageable_only:
-                c = _LONELY if witness is None else Classification(Kind.MARRIAGEABLE, witness)
+                c = classes.get(witness)
+                if c is None:
+                    c = classes[witness] = Classification(Kind.MARRIAGEABLE, witness)
                 yield Partition._canonical(n, tuple(blocks), "/".join(texts)), c
+            if stack:
+                blocks[top], texts[top] = block, text
+            elif pos == n:
+                blocks.pop()
+                texts.pop()
             return
         # every open block needs a later element, so depth <= positions left
         remaining = n - pos + 1

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from crossroads import COUNT_CEILING, ENUMERATE_CEILING, catalan
-from crossroads.cli import cli
+from crossroads import COUNT_CEILING, ENUMERATE_CEILING, catalan, classified_stream
+from crossroads.cli import CHUNK_LINES, _render, cli
 
 
 @pytest.fixture
@@ -483,3 +484,41 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("line", EVERY)
     def test_no_carriage_returns(self, runner, line):
         assert b"\r" not in runner.invoke(cli, line.split()).stdout_bytes
+
+
+class TestChunkedWrites:
+    class _CountingStdout:
+        """A stdout that keeps each write call's text."""
+
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    def test_a_stream_takes_one_write_per_chunk(self, monkeypatch):
+        stdout = self._CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        rows = ((p.to_text(), c.kind.value) for p, c in classified_stream(10))
+        _render(None, "csv", ("partition", "class"), rows)
+        assert len(stdout.writes) <= math.ceil(catalan(10) / CHUNK_LINES) + 1
+        assert max(text.count("\n") for text in stdout.writes) <= CHUNK_LINES
+        written = "".join(stdout.writes).encode()
+        assert _sha256(written) == TestEnumerate.GOLDEN_N10["csv", None]
+
+    @pytest.mark.parametrize("argv, golden", [
+        ("enumerate --n 10 --format csv", TestEnumerate.GOLDEN_N10["csv", None]),
+        ("intersection --n 7 --format csv", TestGoldenBytes.GOLDEN["intersection --n 7 --format csv"][1]),
+    ])
+    def test_write_through_stdout_gets_the_same_bytes(self, argv, golden):
+        # with PYTHONUNBUFFERED=1 each write call reaches the pipe as it is
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PYTHONUNBUFFERED="1")
+        proc = subprocess.run([sys.executable, "-m", "crossroads.cli", *argv.split()],
+                              env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert _sha256(proc.stdout) == golden

@@ -421,6 +421,24 @@ class TestClassifiedStream:
             items = list(classified_stream(n))
             assert list(noncrossing_partitions(n)) == [p for p, _ in items], n
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", [None, Kind.LONELY, Kind.MARRIAGEABLE, "lonely", "marriageable"])
+    def test_first_position_is_the_forced_last(self, n, kind):
+        # position n is both the walk's first move and its forced last one
+        everything = list(classified_stream(n))
+        assert all(c == classify(p) for p, c in everything)
+        wanted = kind and Kind(kind)
+        stream = list(classified_stream(n, kind))
+        assert stream == [(p, c) for p, c in everything if wanted is None or c.kind is wanted]
+
+    def test_one_classification_per_witness(self):
+        # a classification is frozen, so the walk hands out one object per witness
+        for n in range(8):
+            shared = {}
+            for _, c in classified_stream(n):
+                assert shared.setdefault(c.witness, c) is c, n
+            assert len(shared) <= n * (n - 1) // 2 + 1, n
+
     def test_empty_ground_set(self):
         assert list(classified_stream(0)) == [(Partition(0, ()), classify(Partition(0, ())))]
         assert list(classified_stream(0, Kind.LONELY)) == list(classified_stream(0))

@@ -135,6 +135,29 @@ def test_lane_regions_are_scanned_in_two_places():
     assert vars(crossroads.Msl((1,))) == {"exits": (1,)}
 
 
+def test_rows_are_written_in_one_chunk_loop():
+    """``_render`` is the one user of ``_lines`` and calls its write function once, on joined chunks.
+
+    A per-row write would be one system call per row on a write-through stdout.
+    """
+    users = [owner for owner, node in _owned_nodes() if getattr(node, "id", None) == "_lines"]
+    assert users == ["cli._render"]
+    render = [node for owner, node in _owned_nodes() if owner == "cli._render"]
+    withs = [item for node in render if isinstance(node, ast.With) for item in node.items]
+    writers = [item.optional_vars.id for item in withs if ast.unparse(item.context_expr) == "_lines(output)"]
+    assert len(writers) == 1
+    names = {*writers, "write"}
+    calls = [
+        node for node in render
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+    ]
+    assert len(calls) == 1
+    (call,) = calls
+    assert ast.unparse(call) == f"{writers[0]}(''.join(chunk))"
+    loops = [node for node in render if isinstance(node, (ast.For, ast.While))]
+    assert any(call in ast.walk(loop) for loop in loops)
+
+
 def test_readme_ceilings_are_the_code_ceilings():
     """Every `X_CEILING` the README names is a constant of the package or its routes, with the value it states."""
     readme = (ROOT / "README.md").read_text()
