@@ -3,10 +3,12 @@
 The CLI calls none of these and no other module imports this one. Each route
 shares no code with the engine result it checks:
 
+* ``classify_definitional`` checks ``classify`` with the definition itself:
+  the first singleton pair that passes ``can_merge``, which merges the pair
+  and rechecks the result with the quartic ``is_noncrossing_definitional``,
+  so no region scan is read.
 * ``oracle_tally`` (README route 1) checks ``tally``: all set partitions, the
-  quartic ``is_noncrossing_definitional`` filter, and the definition itself,
-  lonely when no singleton pair passes ``can_merge`` (merge, then recheck).
-  Capped by ORACLE_CEILING.
+  quartic filter, and ``classify_definitional``. Capped by ORACLE_CEILING.
 * ``stream_tally`` (route 2) checks ``tally`` past the oracle's reach, with a
   flags-only walk over the four moves. Capped by STREAM_CEILING.
 * ``nc_count_enumerated`` checks ``nc_count`` by counting the walker's
@@ -22,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .enumeration import Tally, noncrossing_partitions
 from .formulas import catalan
-from .partitions import Partition, check_size, is_noncrossing
+from .partitions import Classification, Kind, Partition, check_size
 
 ORACLE_CEILING = 10
 """Largest n accepted by the brute-force oracle over all set partitions."""
@@ -35,31 +37,26 @@ STREAM_CEILING = 14
 def all_set_partitions(n: int) -> Iterator[Partition]:
     """Every set partition of [n], in restricted-growth-string order.
 
-    This is the oracle substrate and deliberately brute force; n is capped
-    by ORACLE_CEILING.
+    Element k joins each existing block, in order of least element, and then
+    opens a new block. This is the oracle substrate and deliberately brute
+    force; n is capped by ORACLE_CEILING.
     """
     check_size(n, ceiling=ORACLE_CEILING, what="all_set_partitions")
-    if n == 0:
-        yield Partition(0, ())
-        return
-    rgs = [0] * n
-    maxes = [0] * n
-    while True:
-        nblocks = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for pos, b in enumerate(rgs, start=1):
-            blocks[b].append(pos)
-        yield Partition(n, blocks)
-        i = n - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
+    blocks: list[list[int]] = []
+
+    def grow(k: int) -> Iterator[Partition]:
+        if k > n:
+            yield Partition(n, blocks)
             return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for k in range(i + 1, n):
-            rgs[k] = 0
-            maxes[k] = maxes[k - 1]
+        for block in blocks:
+            block.append(k)
+            yield from grow(k + 1)
+            block.pop()
+        blocks.append([k])
+        yield from grow(k + 1)
+        blocks.pop()
+
+    yield from grow(1)
 
 
 def is_noncrossing_definitional(p: Partition) -> bool:
@@ -79,98 +76,92 @@ def merge_singletons(p: Partition, i: int, j: int) -> Partition:
     The result is re-canonicalized and may well be crossing; no noncrossing
     guarantee is made here.
     """
-    _require_singleton_pair(p, i, j)
-    blocks = [b for b in p.blocks if b not in ((i,), (j,))]
-    blocks.append((i, j))
-    return Partition(p.n, blocks)
-
-
-def _require_singleton_pair(p: Partition, i: int, j: int) -> None:
     if i >= j:
         raise ValueError("expected i < j")
     for x in (i, j):
         if (x,) not in p.blocks:
             raise ValueError(f"{{{x}}} is not a singleton block")
+    blocks = [b for b in p.blocks if b not in ((i,), (j,))]
+    blocks.append((i, j))
+    return Partition(p.n, blocks)
 
 
 def can_merge(p: Partition, i: int, j: int) -> bool:
-    """True when merging singletons {i} and {j} keeps the partition noncrossing."""
-    return is_noncrossing(merge_singletons(p, i, j))
+    """True when merging singletons {i} and {j} keeps the partition noncrossing, by the quartic test."""
+    return is_noncrossing_definitional(merge_singletons(p, i, j))
+
+
+def classify_definitional(p: Partition) -> Classification:
+    """The definition as a classifier: the first singleton pair that passes :func:`can_merge`.
+
+    Pairs are tried in lexicographic order, so the witness is the smallest
+    mergeable pair, as ``classify`` promises.
+    """
+    for i, j in combinations(p.singletons, 2):
+        if can_merge(p, i, j):
+            return Classification(Kind.MARRIAGEABLE, (i, j))
+    return Classification(Kind.LONELY)
 
 
 def oracle_tally(n: int) -> Tally:
-    """Brute-force tally: all set partitions, quartic filter, merge-and-recheck.
+    """Brute-force tally: all set partitions, the quartic filter, :func:`classify_definitional`.
 
-    A partition is lonely when no pair of its singletons passes :func:`can_merge`,
-    the definition itself, so the recount does not use the region scan behind
-    ``classify``. Slow by design; capped by ORACLE_CEILING through
-    :func:`all_set_partitions`.
+    Slow by design; capped by ORACLE_CEILING through :func:`all_set_partitions`.
     """
     lonely = 0
-    marriageable = 0
+    total = 0
     for p in all_set_partitions(n):
-        if not is_noncrossing_definitional(p):
-            continue
-        if not any(can_merge(p, i, j) for i, j in combinations(p.singletons, 2)):
-            lonely += 1
-        else:
-            marriageable += 1
-    return Tally(n, lonely, marriageable, lonely + marriageable)
+        if is_noncrossing_definitional(p):
+            total += 1
+            lonely += classify_definitional(p).is_lonely
+    return Tally(n, lonely, total - lonely, total)
 
 
 def stream_tally(n: int) -> Tally:
     """Count by walking the construction tree and classifying incrementally.
 
-    Alongside the stack of open blocks the walk keeps one flag per open
-    block, marking whether the block's current gap already holds a
-    singleton, plus one flag for the top-level region. A singleton landing
-    in a flagged region makes every completion of the current prefix
-    marriageable. Costs one visit per noncrossing partition; capped by
-    STREAM_CEILING.
+    The walk keeps a stack of flags, one for the top-level region at the
+    bottom and one per open block above it, marking whether the region's
+    current gap already holds a singleton. A singleton landing in a flagged
+    region makes every completion of the current prefix marriageable. Costs
+    one visit per noncrossing partition; capped by STREAM_CEILING.
     """
     check_size(n, ceiling=STREAM_CEILING, what="stream_tally")
     lonely = 0
     total = 0
-    # stack entries are current-gap flags of open blocks
-    flags: list[bool] = []
+    flags = [False]  # the top level, then the current-gap flag of each open block
 
-    def walk(pos: int, root_flag: bool, married: bool) -> None:
+    def walk(pos: int, married: bool) -> None:
         nonlocal lonely, total
-        if pos > n:
-            if not flags:
-                total += 1
-                if not married:
-                    lonely += 1
+        if pos > n:  # the room checks below leave no block open here
+            total += 1
+            lonely += not married
             return
-        remaining = n - pos + 1
-        depth = len(flags)
+        room = n - pos  # positions after this one
+        depth = len(flags) - 1
         if depth:
-            top = flags[-1]
+            top = flags.pop()
             # append to the top block and close it
-            flags.pop()
-            walk(pos + 1, root_flag, married)
+            walk(pos + 1, married)
             # append and keep open: a fresh gap starts
-            if depth <= remaining - 1:
+            if depth <= room:
                 flags.append(False)
-                walk(pos + 1, root_flag, married)
+                walk(pos + 1, married)
                 flags.pop()
             flags.append(top)
-        if depth <= remaining - 1:
+        if depth <= room:
             # a singleton in the current innermost region
-            if depth:
-                hit = flags[-1]
-                flags[-1] = True
-                walk(pos + 1, root_flag, married or hit)
-                flags[-1] = hit
-            else:
-                walk(pos + 1, True, married or root_flag)
-        if depth + 1 <= remaining - 1:
+            hit = flags[-1]
+            flags[-1] = True
+            walk(pos + 1, married or hit)
+            flags[-1] = hit
+        if depth < room:
             # open a new block
             flags.append(False)
-            walk(pos + 1, root_flag, married)
+            walk(pos + 1, married)
             flags.pop()
 
-    walk(1, False, False)
+    walk(1, False)
     expected = catalan(n)
     if total != expected:
         raise AssertionError(f"stream visited {total} partitions, expected {expected}")

@@ -5,10 +5,10 @@ kept verbatim in ``crossroads.reference`` and compared, not trusted: rows
 0..9 must be reproduced exactly, and rows 10..14, which a brute-force
 recount from the definition refutes, must show up as errata whose computed
 side equals that recount. The recount is ``oracle_tally(10)`` (all set
-partitions, quartic crossing filter, a partition lonely when no singleton
-pair passes ``can_merge``) and
-``stream_tally(11..14)``; neither shares code with the counting recurrence, and
-it is computed once per session.
+partitions, quartic crossing filter, and ``classify_definitional``, which
+merges each singleton pair and rechecks the result with the same quartic
+test) and ``stream_tally(11..14)``; neither shares code with the counting
+recurrence or the region scan, and it is computed once per session.
 
 * Criterion 1: ``verify --max-n 12`` exits 2 within 60 s, reports rows
   0..9 ok and rows 10..12 as mismatches with the published values verbatim
@@ -22,8 +22,9 @@ it is computed once per session.
 
 The other six criteria hold independently of the published table. Among
 them, criterion 3 checks ``classify``, the one classifier, against the
-merge-and-recheck ``classify_definitional`` of ``conftest`` on every
-noncrossing partition with n <= 10.
+merge-and-recheck ``crossroads.routes.classify_definitional``, which
+rechecks each merge with the quartic test, on every noncrossing partition
+with n <= 10.
 """
 import functools
 import time
@@ -32,7 +33,6 @@ from itertools import combinations, zip_longest
 
 from click.testing import CliRunner
 
-from conftest import classify_definitional
 from crossroads import (
     CountJob,
     Kind,
@@ -59,7 +59,7 @@ from crossroads import (
     tally_range,
 )
 from crossroads.cli import cli
-from crossroads.routes import oracle_tally, stream_tally
+from crossroads.routes import classify_definitional, oracle_tally, stream_tally
 
 # Ratio cells of the published table that are printed with exactly two
 # fractional digits, keyed by column then n. Cells the table renders with

@@ -6,7 +6,6 @@ from operator import mul
 
 import pytest
 
-from conftest import classify_definitional
 from crossroads import (
     COUNT_CEILING,
     ENUMERATE_CEILING,
@@ -34,6 +33,7 @@ from crossroads.routes import (
     ORACLE_CEILING,
     STREAM_CEILING,
     all_set_partitions,
+    classify_definitional,
     nc_count_enumerated,
     oracle_tally,
     stream_tally,
@@ -196,6 +196,12 @@ class TestAllSetPartitions:
         parts = list(all_set_partitions(3))
         assert parts[0] == Partition.from_text("1,2,3")
         assert parts[-1] == Partition.from_text("1/2/3")
+
+    def test_rgs_order_at_4(self):
+        assert [p.to_text() for p in all_set_partitions(4)] == (
+            "1,2,3,4 1,2,3/4 1,2,4/3 1,2/3,4 1,2/3/4 1,3,4/2 1,3/2,4 1,3/2/4 "
+            "1,4/2,3 1/2,3,4 1/2,3/4 1,4/2/3 1/2,4/3 1/2/3,4 1/2/3/4"
+        ).split()
 
     def test_noncrossing_density_at_4(self):
         parts = list(all_set_partitions(4))

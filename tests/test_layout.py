@@ -56,6 +56,35 @@ def test_no_module_imports_routes():
     assert importers == []
 
 
+def test_routes_name_no_engine_scan():
+    """The routes recheck the engine, so they call none of its scans or counters.
+
+    ``noncrossing_partitions`` stays allowed: ``nc_count_enumerated`` checks
+    ``nc_count``, not the walker.
+    """
+    engine = {
+        "is_noncrossing", "_regions", "nesting_forest", "classify", "classify_fast",
+        "_u_turn_regions", "is_absolute", "Msl", "_walk", "classified_stream",
+        "_lonely_numbers", "tally", "tally_range",
+    }
+    tree = ast.parse((SRC / "crossroads" / "routes.py").read_text())
+    named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    named |= {alias.name for node in _imports(tree) for alias in node.names}
+    assert sorted(named & engine) == []
+
+
+def test_definition_route_reaches_no_region_scan(monkeypatch):
+    """With the region scan refused, the definition route still answers: it calls the scan nowhere, not even indirectly."""
+    def refuse(p):
+        raise AssertionError("the region scan was called")
+
+    monkeypatch.setattr(crossroads.partitions, "_regions", refuse)
+    p = crossroads.Partition.from_text("1,4/2/3/5")
+    assert crossroads.routes.can_merge(p, 2, 3) and not crossroads.routes.can_merge(p, 3, 5)
+    assert crossroads.routes.classify_definitional(p).witness == (2, 3)
+    assert crossroads.routes.oracle_tally(7) == crossroads.Tally(7, 232, 197, 429)
+
+
 def test_all_lists_every_public_name_of_the_root():
     bound = {
         name for name, value in vars(crossroads).items()

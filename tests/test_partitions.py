@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classify_definitional
 from crossroads import (
     Kind,
     Partition,
@@ -18,7 +17,13 @@ from crossroads import (
     is_noncrossing,
     nesting_forest,
 )
-from crossroads.routes import all_set_partitions, can_merge, is_noncrossing_definitional, merge_singletons
+from crossroads.routes import (
+    all_set_partitions,
+    can_merge,
+    classify_definitional,
+    is_noncrossing_definitional,
+    merge_singletons,
+)
 
 
 def P(text):
