@@ -17,16 +17,20 @@ import json
 import os
 import sys
 from dataclasses import astuple, fields
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import click
 
-from .enumeration import CountJob, classified_stream, tally, tally_range
+from .enumeration import CountJob, _text_rows, tally, tally_range
 from .formulas import SequenceRow, lower_bound_lonely, lower_bound_marriageable, ratio_report, two_digits
-from .intersection import enumerate_msl, is_absolute, msl_to_partition
+from .intersection import _lane_rows
 from .partitions import CeilingExceededError
 from .reference import MAX_PUBLISHED_N, published_row
 
-click.exceptions.UsageError.exit_code = 64
+USAGE_EXIT = 64
+"""Exit code of a usage error, set by :class:`_Group` on each one it raises or
+passes on; click's own default of 2 stays for other commands in the process."""
 
 def _jnum(value):
     """Integers stay bare JSON integers while exact in doubles, else strings."""
@@ -36,6 +40,10 @@ def _jnum(value):
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 _QUOTED = frozenset({"partition", "lanes"})  # CSV columns whose values hold commas
+
+_TEXT_COLUMNS = frozenset({"partition", "lanes", "class"})
+"""Columns whose cells are always str: csv writes them as they are, json
+encodes them with the C string encoder that ``_encode`` calls on a str."""
 
 
 def _cell(value, words=("false", "true")) -> str:
@@ -70,6 +78,18 @@ def _lines(output: "str | None"):
         sys.stdout.flush()
 
 
+def _filled(template, converters, rows):
+    """``template % cells`` for each row, each cell through its column's converter (None keeps it).
+
+    Each column is a C-level map over its own ``itertools.tee`` copy of the
+    rows, so a cell costs a Python call only where its converter is one.
+    """
+    copies = itertools.tee(rows, len(converters))
+    columns = [map(itemgetter(i), copy) if convert is None else map(convert, map(itemgetter(i), copy))
+               for i, (convert, copy) in enumerate(zip(converters, copies))]
+    return map(template.__mod__, zip(*columns))
+
+
 def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, document=None):
     """Write ``rows``, tuples in ``columns`` order, in format ``fmt``.
 
@@ -81,6 +101,8 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
     json: ``document(records)`` as one line, each record ``dict(zip(columns,
     row))`` with large integers as strings (:func:`_jnum`); without
     ``document``, one object per row and line, encoded cells in one template.
+    csv and json lines are filled by :func:`_filled`; the cells of
+    :data:`_TEXT_COLUMNS` take no Python call.
     text: with ``width``, a header and the cells right-aligned to it, bools as
     yes/no; otherwise ``line(*row)`` per row, then ``summary`` if given.
     """
@@ -88,15 +110,16 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
     # draw the first row before opening the output: a stream past its ceiling writes nothing
     rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
     if fmt == "csv":
-        template = ",".join('"{}"' if c in _QUOTED else "{}" for c in columns) + "\n"
-        lines = itertools.chain([",".join(columns) + "\n"],
-                                (template.format(*map(_cell, row)) for row in rows))
+        template = ",".join('"%s"' if c in _QUOTED else "%s" for c in columns) + "\n"
+        converters = [None if c in _TEXT_COLUMNS else _cell for c in columns]
+        lines = itertools.chain([",".join(columns) + "\n"], _filled(template, converters, rows))
     elif fmt == "json" and document:
         records = [{c: _jnum(v) for c, v in zip(columns, row)} for row in rows]
         lines = iter([_encode(document(records)) + "\n"])
     elif fmt == "json":
-        template = "{{" + ",".join(_encode(c) + ":{}" for c in columns) + "}}\n"
-        lines = (template.format(*map(_encode, row)) for row in rows)
+        template = "{" + ",".join(_encode(c) + ":%s" for c in columns) + "}\n"
+        converters = [encode_basestring_ascii if c in _TEXT_COLUMNS else _encode for c in columns]
+        lines = _filled(template, converters, rows)
     elif width:
         lines = (" ".join(_cell(v, ("no", "yes")).rjust(width) for v in row) + "\n"
                  for row in itertools.chain([columns], rows))
@@ -108,11 +131,26 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
 
 
 class _Group(click.Group):
-    """The command group, where errors from every command become exit codes."""
+    """The command group, where errors from every command become exit codes.
+
+    Usage errors come from parsing the group's own arguments
+    (:meth:`make_context`) or from resolving and parsing a subcommand
+    (:meth:`invoke`); both stamp :data:`USAGE_EXIT` on the error itself.
+    """
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = USAGE_EXIT
+            raise
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = USAGE_EXIT
+            raise
         except CeilingExceededError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(65)
@@ -222,13 +260,13 @@ def enumerate_cmd(n: int, wanted: "str | None", fmt: str, output: "str | None"):
     """Stream noncrossing partitions in text form, optionally filtered.
 
     Without --class it writes C_n rows, the n-th Catalan number. On a 2-vCPU
-    host with CPython 3.11, n = 13 (742,900 rows) takes about 2.2 s in text
-    and 3.5 s in json, so n = 16 (35.4 M rows) takes minutes and n = 20
+    host with CPython 3.11, n = 13 (742,900 rows) takes about 1.7 s in text
+    and 2.2 s in json, so n = 16 (35.4 M rows) takes over a minute and n = 20
     (6.56 G rows) hours.
     """
     _render(
         output, fmt, ("partition", "class"),
-        ((p.to_text(), c.kind.value) for p, c in classified_stream(n, wanted)),
+        _text_rows(n, wanted),
         line=lambda partition, kind: partition,
     )
 
@@ -299,13 +337,13 @@ def intersection(n: int, fmt: str, output: "str | None"):
     """Stream every maximal lane set with its absoluteness flag.
 
     It writes C_n rows, the n-th Catalan number. On a 2-vCPU host with
-    CPython 3.11, n = 11 (58,786 rows) takes about 1.2 s in text and 1.4 s
-    in json, so n = 14 (2.67 M rows) takes about a minute, n = 16 (35.4 M
-    rows) over ten minutes and n = 20 (6.56 G rows) over a day.
+    CPython 3.11, n = 11 (58,786 rows) takes about 0.4 s in text and 0.5 s
+    in json, so n = 14 (2.67 M rows) takes about 20 s, n = 16 (35.4 M rows)
+    minutes and n = 20 (6.56 G rows) half a day.
     """
     _render(
         output, fmt, ("lanes", "absolute", "partition"),
-        ((m.to_text(), is_absolute(m), msl_to_partition(m).to_text()) for m in enumerate_msl(n)),
+        _lane_rows(n),
         line=lambda lanes, absolute, partition:
             f"{lanes} {'absolute' if absolute else 'nonabsolute'}",
     )

@@ -12,7 +12,9 @@ Every noncrossing partition arises from exactly one move sequence, so one
 walker over the moves generates each partition once, already canonical, and
 classifies it on the way: a partition is marriageable exactly when two
 singletons share a region (the top level or one gap of one block).
-``noncrossing_partitions`` and ``classified_stream`` are thin views of it.
+``noncrossing_partitions`` and ``classified_stream`` are thin views of it
+that copy its live state into values; the ``enumerate`` and ``intersection``
+commands read that state directly.
 
 Counting visits no partition at all: the lonely numbers are the coefficients
 of an algebraic generating function, and they obey a linear recurrence with
@@ -31,8 +33,9 @@ ENUMERATE_CEILING = 500
 """Largest n accepted by noncrossing_partitions, classified_stream and
 enumerate_msl, which streams the walker's image; the walker nests one
 generator frame per position, the frame of position n making the forced last
-move and yielding the leaf; that nesting passes the default recursion limit
-at n = 995."""
+move and yielding the leaf, and each view adds one; with the default
+recursion limit the first item of every view is drawn through n = 994 and
+fails at n = 995 (by bisection with the ceiling lifted)."""
 
 _LONELY = Classification(Kind.LONELY)
 
@@ -82,19 +85,26 @@ class CountJob:
             raise ValueError("workers must be a positive int")
 
 
-def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[Partition, Classification]]":
-    """Every noncrossing partition of [n] with its classification, in walk order.
+def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[list, list, tuple[int, int] | None]]":
+    """Every noncrossing partition of [n] as the walker's live state, in walk order.
+
+    Each leaf is ``(blocks, texts, witness)``: the walker's own lists of the
+    blocks (ascending tuples, in order of their minimum) and of their texts
+    (e.g. ``"1,4,5"``), and the least mergeable singleton pair, None for a
+    lonely partition. The lists are live: they are valid until the next
+    draw, which changes them, so a view that keeps a leaf copies it.
 
     Per region the walk keeps the first singleton of its current gap (0 for
-    none): the top level in the bottom slot, then each open block. A second
-    singleton in a region gives the mergeable pair (first, pos), and the
-    least pair found is the witness :func:`classify` returns. LONELY prunes
-    every prefix holding a pair; MARRIAGEABLE skips the lonely leaves.
-    Beside each block the walk keeps its text, so a leaf costs one tuple and
-    one join; the partition is built unchecked by ``Partition._canonical``.
-    The move at n is forced (close the one open block, or add a singleton
-    at the top level), so the frame of position n makes it and yields the
-    leaf. Leaves with the same witness share one frozen ``Classification``.
+    none): the top level in slot 0, then each open block in the slot of its
+    depth. A second singleton in a region gives the mergeable pair (first,
+    pos), and the least pair found is the witness :func:`classify` returns.
+    LONELY prunes every prefix holding a pair; MARRIAGEABLE skips the lonely
+    leaves. The open blocks and the region firsts sit in preallocated slots
+    indexed by ``depth``, the number of open blocks, so no move pushes or
+    pops them; a frame that closes its top block restores that block's slot
+    and its region's first afterwards, since deeper frames reuse both. The
+    move at n is forced (close the one open block, or add a singleton at the
+    top level), so the frame of position n makes it and yields the leaf.
     """
     check_size(n, ceiling=ENUMERATE_CEILING, what="enumeration")
     if kind is not None:
@@ -102,17 +112,16 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[Partition, Class
     names = [str(x) for x in range(n + 1)]
     blocks: list[tuple[int, ...]] = []
     texts: list[str] = []  # each block's text, e.g. "1,4,5"
-    stack: list[int] = []  # indices of the open blocks, innermost last
-    firsts = [0]  # first singleton of each region's current gap: the top level, then each open block
+    stack = [0] * n  # stack[d]: index in blocks of the open block at depth d, outermost first
+    firsts = [0] * (n + 1)  # first singleton of each region's current gap: the top level, then each open block
     lonely_only = kind is Kind.LONELY
     marriageable_only = kind is Kind.MARRIAGEABLE
-    classes = {None: _LONELY}  # witness -> its classification, one per witness: n(n-1)/2 pairs at most
 
-    def walk(pos: int, witness: "tuple[int, int] | None"):
+    def walk(pos: int, depth: int, witness: "tuple[int, int] | None"):
         if pos >= n:
             # the move at n is forced, so it is made here and not one frame deeper;
             # pos > n only when n == 0, which makes no move
-            if stack:
+            if depth:
                 # close the one open block
                 top = stack[0]
                 block, text = blocks[top], texts[top]
@@ -128,11 +137,8 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[Partition, Class
                 blocks.append((pos,))
                 texts.append(names[pos])
             if witness is not None or not marriageable_only:
-                c = classes.get(witness)
-                if c is None:
-                    c = classes[witness] = Classification(Kind.MARRIAGEABLE, witness)
-                yield Partition._canonical(n, tuple(blocks), "/".join(texts)), c
-            if stack:
+                yield blocks, texts, witness
+            if depth:
                 blocks[top], texts[top] = block, text
             elif pos == n:
                 blocks.pop()
@@ -140,50 +146,66 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[Partition, Class
             return
         # every open block needs a later element, so depth <= positions left
         remaining = n - pos + 1
-        depth = len(stack)
         if depth:
-            top = stack.pop()
-            first = firsts.pop()
+            top = stack[depth - 1]
+            first = firsts[depth]
             block, text = blocks[top], texts[top]
             blocks[top], texts[top] = block + (pos,), text + "," + names[pos]
             # close the top block here: its last gap ends with it
-            yield from walk(pos + 1, witness)
-            stack.append(top)
-            firsts.append(first)
+            yield from walk(pos + 1, depth - 1, witness)
+            stack[depth - 1] = top  # deeper frames reused the slot
             if depth < remaining:
                 # keep it open: a fresh gap starts
-                firsts[-1] = 0
-                yield from walk(pos + 1, witness)
-                firsts[-1] = first
+                firsts[depth] = 0
+                yield from walk(pos + 1, depth, witness)
+            firsts[depth] = first
             blocks[top], texts[top] = block, text
         if depth < remaining:
             # a singleton in the innermost region
-            first = firsts[-1]
+            first = firsts[depth]
             blocks.append((pos,))
             texts.append(names[pos])
             if first:
                 if not lonely_only:
                     pair = (first, pos)
-                    yield from walk(pos + 1, pair if witness is None else min(witness, pair))
+                    yield from walk(pos + 1, depth, pair if witness is None else min(witness, pair))
             else:
-                firsts[-1] = pos
-                yield from walk(pos + 1, witness)
-                firsts[-1] = 0
+                firsts[depth] = pos
+                yield from walk(pos + 1, depth, witness)
+                firsts[depth] = 0
             blocks.pop()
             texts.pop()
         if depth + 1 < remaining:
             # open a new block
-            stack.append(len(blocks))
+            stack[depth] = len(blocks)
+            firsts[depth + 1] = 0
             blocks.append((pos,))
             texts.append(names[pos])
-            firsts.append(0)
-            yield from walk(pos + 1, witness)
-            firsts.pop()
-            stack.pop()
+            yield from walk(pos + 1, depth + 1, witness)
             blocks.pop()
             texts.pop()
 
-    return walk(1, None)
+    return walk(1, 0, None)
+
+
+def _snapshot(n: int, blocks: "list[tuple[int, ...]]", texts: "list[str]") -> Partition:
+    """The partition at a walker leaf, as a value that outlives the leaf.
+
+    Built unchecked from a copy of the walker's blocks and the join of its
+    texts (``Partition._canonical``).
+    """
+    return Partition._canonical(n, tuple(blocks), "/".join(texts))
+
+
+def _text_rows(n: int, kind: "Kind | str | None") -> "Iterator[tuple[str, str]]":
+    """``enumerate``'s rows: each partition's text and its class value, read off the walker.
+
+    The same stream as ``classified_stream(n, kind)`` as ``(p.to_text(),
+    c.kind.value)``, without a ``Partition`` or a ``Classification`` per row.
+    """
+    join = "/".join
+    for _, texts, witness in _walk(n, kind):
+        yield join(texts), "lonely" if witness is None else "marriageable"
 
 
 def noncrossing_partitions(n: int) -> Iterator[Partition]:
@@ -193,8 +215,8 @@ def noncrossing_partitions(n: int) -> Iterator[Partition]:
     append-and-close, append-and-keep-open, singleton, open-new-block.
     Raises CeilingExceededError past ENUMERATE_CEILING.
     """
-    for p, _ in _walk(n, None):
-        yield p
+    for blocks, texts, _ in _walk(n, None):
+        yield _snapshot(n, blocks, texts)
 
 
 def _lonely_numbers(max_n: int) -> "list[int]":
@@ -248,7 +270,16 @@ def classified_stream(n: int, kind: "Kind | str | None" = None) -> "Iterator[tup
 
     ``kind`` is a :class:`Kind` or its value, e.g. ``"lonely"``; any other
     value raises ValueError. The classification is made during generation
-    and agrees with :func:`classify`, witness included. Raises
+    and agrees with :func:`classify`, witness included. Each pair is a value
+    that stays valid, a snapshot of the walker's live state
+    (:func:`_snapshot`); leaves with the same witness share one frozen
+    ``Classification``, n(n-1)/2 + 1 of them at most. The ``enumerate``
+    command reads that state as text instead (:func:`_text_rows`). Raises
     CeilingExceededError past ENUMERATE_CEILING.
     """
-    yield from _walk(n, kind)
+    classes = {None: _LONELY}
+    for blocks, texts, witness in _walk(n, kind):
+        c = classes.get(witness)
+        if c is None:
+            c = classes[witness] = Classification(Kind.MARRIAGEABLE, witness)
+        yield _snapshot(n, blocks, texts), c

@@ -18,14 +18,17 @@ can be rewired exactly when they share a region. That scan is the one
 noncrossing check on the lane side: :func:`partition_to_msl` leaves it to
 ``Msl``, and :func:`msl_to_partition` builds its canonical partition without
 a second check. The MSLs are streamed as the image of the partition walker
-under the bijection, in the walker's order.
+under the bijection, in the walker's order. The ``intersection`` command
+takes its rows from the walker's state directly (:func:`_lane_rows`): one
+scan per row and no ``Msl``, while the checked functions above stay the
+library's lane model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .enumeration import noncrossing_partitions
+from .enumeration import _walk, noncrossing_partitions
 from .partitions import Partition, check_size
 
 
@@ -96,27 +99,35 @@ class Msl:
         return ",".join(f"E{i}>X{x}" for i, x in enumerate(self.exits, 1))
 
 
-def partition_to_msl(p: Partition) -> Msl:
-    """Image of a noncrossing partition under the lane bijection.
+def _exits(n: int, blocks: "Iterable[tuple[int, ...]]") -> "list[int]":
+    """The exit of each entry under the lane bijection, from ascending blocks covering 1..n.
 
     A block a_1 < ... < a_k contributes the long lane E_{a_1}>X_{a_k} and the
     return lanes E_{a_{t+1}}>X_{a_t}; a singleton contributes its U-turn.
+    """
+    exits = [0] * n
+    for block in blocks:
+        prev = block[-1]  # the long lane from the least element
+        for entry in block:
+            exits[entry - 1] = prev
+            prev = entry
+    return exits
+
+
+def partition_to_msl(p: Partition) -> Msl:
+    """Image of a noncrossing partition under the lane bijection (:func:`_exits`).
 
     The ``Msl`` scan is the one noncrossing check on the lane side. The exits
     of any partition of [n] form a permutation whose orbits are its blocks,
     so distinct partitions give distinct exits; the C_n noncrossing
     partitions already give all C_n valid MSLs, so the exits of a crossing
     partition never pass the scan, and its ValueError is re-raised here.
+    ``intersection``'s rows take their exits from the walker through the same
+    :func:`_exits`, without an ``Msl``.
     """
     check_size(p.n, least=1)
-    exits = [0] * p.n
-    for block in p.blocks:
-        prev = block[-1]  # the long lane from the least element
-        for entry in block:
-            exits[entry - 1] = prev
-            prev = entry
     try:
-        return Msl(exits)
+        return Msl(_exits(p.n, p.blocks))
     except ValueError:
         raise ValueError("partition_to_msl requires a noncrossing partition") from None
 
@@ -158,7 +169,12 @@ def is_absolute(m: Msl) -> bool:
     innermost lane (its exit j, or -i for a lane opened at X_i, 0 for the top
     level), one id per lane, so equal ids are a shared region.
     """
-    regions = _u_turn_regions(m.exits)
+    return _absolute(m.exits)
+
+
+def _absolute(exits: "Sequence[int]") -> bool:
+    """:func:`is_absolute` on the exits of a valid MSL, read off one :func:`_u_turn_regions` scan."""
+    regions = _u_turn_regions(exits)
     return len(set(regions)) == len(regions)
 
 
@@ -172,3 +188,37 @@ def enumerate_msl(n: int) -> Iterator[Msl]:
     """
     check_size(n, least=1)
     yield from map(partition_to_msl, noncrossing_partitions(n))
+
+
+class _Tokens(dict):
+    """The ``Ei>Xj`` tokens of one entry i by exit j, each made on first use.
+
+    A stream that stops early, such as ``intersection --n 500 | head``, so
+    makes a few tokens and not all n^2.
+    """
+
+    def __init__(self, entry: int):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, exit: int) -> str:
+        token = self[exit] = f"E{self.entry}>X{exit}"
+        return token
+
+
+def _lane_rows(n: int) -> "Iterator[tuple[str, bool, str]]":
+    """``intersection``'s rows, read off the partition walker without an ``Msl``.
+
+    The same stream as ``(m.to_text(), is_absolute(m),
+    msl_to_partition(m).to_text())`` over ``enumerate_msl(n)``: the exits
+    come from the walker's blocks (:func:`_exits`), the lane text from a
+    :class:`_Tokens` table per entry, ``absolute`` from one lane scan and
+    the partition column from the walker's text. Raises
+    CeilingExceededError past ENUMERATE_CEILING, when the first row is drawn.
+    """
+    check_size(n, least=1)
+    tokens = [_Tokens(entry) for entry in range(1, n + 1)]
+    token = dict.__getitem__  # calls __missing__ on a dict subclass
+    for blocks, texts, _ in _walk(n, None):
+        exits = _exits(n, blocks)
+        yield ",".join(map(token, tokens, exits)), _absolute(exits), "/".join(texts)

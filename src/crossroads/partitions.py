@@ -46,8 +46,9 @@ class Partition:
     """A set partition of {1, ..., n} in canonical form.
 
     Blocks are stored as ascending tuples, ordered by their minimum element.
-    Construction canonicalizes and validates (only the enumeration walker and
-    ``intersection.msl_to_partition`` skip both, through :meth:`_canonical`),
+    Construction canonicalizes and validates (only the enumeration walker's
+    snapshots and ``intersection.msl_to_partition`` skip both, through
+    :meth:`_canonical`),
     so two partitions are equal exactly when they partition the same ground
     set the same way.
     """
@@ -72,9 +73,11 @@ class Partition:
 
         ``text`` may be None, and :meth:`to_text` then joins the blocks. Two
         callers, each guarded by a test that compares its output and text
-        with ``Partition(n, blocks)``: ``enumeration._walk``, which opens
-        blocks in order of their minimum, grows them upward and covers 1..n
-        (``test_walker_partitions_are_canonical``, through n = 10), and
+        with ``Partition(n, blocks)``: ``enumeration._snapshot``, which
+        copies the walker's blocks (opened in order of their minimum, grown
+        upward, covering 1..n) and joins their texts
+        (``test_walker_partitions_are_canonical`` through n = 10 and
+        ``test_walker_state_is_a_checked_partition_through_12``), and
         ``intersection.msl_to_partition``, which reads each orbit up from its
         least element (``test_msl_partitions_are_canonical``, through n = 10).
         """

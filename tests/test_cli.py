@@ -9,11 +9,12 @@ import sys
 import time
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from crossroads import COUNT_CEILING, ENUMERATE_CEILING, catalan, classified_stream
-from crossroads.cli import CHUNK_LINES, _render, cli
+from crossroads.cli import CHUNK_LINES, USAGE_EXIT, _render, cli
 
 
 @pytest.fixture
@@ -376,6 +377,21 @@ class TestExitCodes:
         result = runner.invoke(cli, ["count", "--n", "-2"])
         assert result.exit_code == 64
 
+    @pytest.mark.parametrize("argv", [[], ["--bogus"], ["count", "--n", "x"], ["enumerate", "--n", "3", "--class", "x"]])
+    def test_group_and_subcommand_usage_errors(self, runner, argv):
+        assert runner.invoke(cli, argv).exit_code == USAGE_EXIT == 64
+
+    def test_usage_exit_stays_inside_the_group(self, runner):
+        # a click command beside crossroads in the same process keeps click's own exit code 2
+        @click.command()
+        @click.option("--n", required=True)
+        def foreign(n):
+            pass
+
+        assert runner.invoke(foreign, []).exit_code == 2
+        assert runner.invoke(cli, ["count"]).exit_code == 64
+        assert runner.invoke(foreign, ["--bogus"]).exit_code == 2
+
     def test_ceiling_exit(self, runner):
         result = runner.invoke(cli, ["verify", "--max-n", "20"])
         assert result.exit_code == 65
@@ -484,6 +500,21 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("line", EVERY)
     def test_no_carriage_returns(self, runner, line):
         assert b"\r" not in runner.invoke(cli, line.split()).stdout_bytes
+
+
+class TestRenderCells:
+    COLUMNS = ("n", "match", "partition", "class")
+    ROWS = [(None, True, "1,2/3", "lonely"), (12, False, "", "marriageable")]
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("csv", 'n,match,partition,class\n,true,"1,2/3",lonely\n12,false,"",marriageable\n'),
+        ("json", '{"n":null,"match":true,"partition":"1,2/3","class":"lonely"}\n'
+                 '{"n":12,"match":false,"partition":"","class":"marriageable"}\n'),
+    ])
+    def test_none_bool_and_str_cells(self, capsys, fmt, expected):
+        # the text columns skip the per-cell conversion, the others keep it
+        _render(None, fmt, self.COLUMNS, iter(self.ROWS))
+        assert capsys.readouterr().out == expected
 
 
 class TestChunkedWrites:

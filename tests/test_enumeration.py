@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from collections import Counter
 from collections.abc import Iterator
 from math import comb
@@ -28,7 +29,8 @@ from crossroads import (
     tally,
     tally_range,
 )
-from crossroads.enumeration import _LONELY_RECURRENCE, _LONELY_START
+from crossroads.enumeration import _LONELY_RECURRENCE, _LONELY_START, _text_rows, _walk
+from crossroads.intersection import _lane_rows
 from crossroads.routes import (
     ORACLE_CEILING,
     STREAM_CEILING,
@@ -445,6 +447,32 @@ class TestClassifiedStream:
                 assert shared.setdefault(c.witness, c) is c, n
             assert len(shared) <= n * (n - 1) // 2 + 1, n
 
+    def test_walker_state_is_a_checked_partition_through_12(self):
+        # the walker's live lists and witness at each leaf against the validated Partition
+        # and classify; each filtered walk is the unfiltered one filtered, leaf for leaf
+        def leaves(n, kind):
+            return ((tuple(blocks), "/".join(texts), witness) for blocks, texts, witness in _walk(n, kind))
+
+        for n in range(13):
+            texts = set()
+            wrong = [
+                text for blocks, text, witness in leaves(n, None)
+                if text in texts or texts.add(text)
+                or (checked := Partition(n, blocks)).blocks != blocks or checked.to_text() != text
+                or classify(checked).witness != witness
+            ]
+            assert wrong == [] and len(texts) == catalan(n), n
+            for kind in (Kind.LONELY, Kind.MARRIAGEABLE) + (("lonely", "marriageable") if n < 11 else ()):
+                lonely = Kind(kind) is Kind.LONELY
+                expected = (leaf for leaf in leaves(n, None) if (leaf[2] is None) == lonely)
+                assert all(a == b for a, b in itertools.zip_longest(leaves(n, kind), expected)), (n, kind)
+
+    @pytest.mark.parametrize("kind", [None, Kind.LONELY, Kind.MARRIAGEABLE, "lonely", "marriageable"])
+    def test_text_rows_are_the_classified_stream(self, kind):
+        for n in range(11):
+            expected = [(p.to_text(), c.kind.value) for p, c in classified_stream(n, kind)]
+            assert list(_text_rows(n, kind)) == expected, n
+
     def test_empty_ground_set(self):
         assert list(classified_stream(0)) == [(Partition(0, ()), classify(Partition(0, ())))]
         assert list(classified_stream(0, Kind.LONELY)) == list(classified_stream(0))
@@ -481,6 +509,8 @@ SIZED = [
     # an unchecked partition, so the size reaches partition_to_msl's own check
     _sized(lambda n: partition_to_msl(Partition._canonical(n, (), "")), 1, "partition_to_msl"),
     _sized(enumerate_msl, 1),
+    _sized(lambda n: _text_rows(n, None), name="_text_rows"),
+    _sized(_lane_rows, 1),
 ]
 
 
@@ -510,6 +540,8 @@ def test_negative_size_is_rejected(entry, least, n):
     pytest.param(lambda n: nc_count_enumerated(n, 1, 0), "nc_count_enumerated", ORACLE_CEILING,
                  id="nc_count_enumerated"),
     pytest.param(enumerate_msl, "enumeration", ENUMERATE_CEILING, id="enumerate_msl"),
+    pytest.param(lambda n: _text_rows(n, None), "enumeration", ENUMERATE_CEILING, id="_text_rows"),
+    pytest.param(_lane_rows, "enumeration", ENUMERATE_CEILING, id="_lane_rows"),
     pytest.param(lower_bound_lonely, "lower_bound_lonely", COUNT_CEILING, id="lower_bound_lonely"),
     pytest.param(lower_bound_marriageable, "lower_bound_marriageable", COUNT_CEILING,
                  id="lower_bound_marriageable"),

@@ -19,6 +19,7 @@ from crossroads import (
     tally,
 )
 from crossroads import CountJob
+from crossroads.intersection import _lane_rows
 from crossroads.routes import all_set_partitions, is_msl, is_noncrossing_definitional, lanes_cross
 
 CLIQUE_SIZES = range(1, 8)
@@ -278,6 +279,12 @@ class TestEnumerateMsl:
         # the lane stream is the walker's stream under the bijection, item for item
         for n in range(1, 11):
             assert [msl_to_partition(m) for m in enumerate_msl(n)] == list(noncrossing_partitions(n))
+
+    def test_lane_rows_are_the_msl_stream(self):
+        # intersection's rows, read off the walker, against the checked library route
+        for n in range(1, 11):
+            expected = [(m.to_text(), is_absolute(m), msl_to_partition(m).to_text()) for m in enumerate_msl(n)]
+            assert list(_lane_rows(n)) == expected, n
 
     def test_streams_without_buffering(self):
         # the C_10 = 16796 lane sets are never held at once

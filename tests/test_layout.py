@@ -144,21 +144,30 @@ def test_ceiling_errors_are_built_in_one_place():
 
 
 def test_unchecked_partitions_are_built_in_two_places():
-    """Only the walker and the lane bijection skip ``Partition`` validation, each guarded by a test."""
+    """Only the walker's snapshot and the lane bijection skip ``Partition`` validation, each guarded by a test.
+
+    The walker yields its live lists; ``_snapshot`` is the one function that
+    turns them into partitions, for ``noncrossing_partitions`` and
+    ``classified_stream``.
+    """
     found = [
         owner for owner, node in _owned_nodes()
         if isinstance(node, ast.Attribute) and node.attr == "_canonical"
     ]
-    assert sorted(found) == ["enumeration._walk", "intersection.msl_to_partition"]
+    assert sorted(found) == ["enumeration._snapshot", "intersection.msl_to_partition"]
 
 
 def test_lane_regions_are_scanned_in_two_places():
-    """One lane scan with two readers: ``Msl`` validation reads its verdict, ``is_absolute`` its regions."""
+    """One lane scan with two readers: ``Msl`` validation reads its verdict, ``_absolute`` its regions.
+
+    ``_absolute`` takes exits, so ``is_absolute`` and ``intersection``'s rows,
+    which build no ``Msl``, share it.
+    """
     found = [
         owner for owner, node in _owned_nodes()
         if getattr(node, "id", getattr(node, "attr", None)) == "_u_turn_regions"
     ]
-    assert sorted(found) == ["intersection.Msl.__init__", "intersection.is_absolute"]
+    assert sorted(found) == ["intersection.Msl.__init__", "intersection._absolute"]
     # and nothing caches the regions: a lane set is its exit permutation alone
     assert [f.name for f in dataclasses.fields(crossroads.Msl)] == ["exits"]
     assert vars(crossroads.Msl((1,))) == {"exits": (1,)}
