@@ -188,13 +188,12 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[list, list, tupl
     return walk(1, 0, None)
 
 
-def _snapshot(n: int, blocks: "list[tuple[int, ...]]", texts: "list[str]") -> Partition:
+def _snapshot(n: int, blocks: "list[tuple[int, ...]]") -> Partition:
     """The partition at a walker leaf, as a value that outlives the leaf.
 
-    Built unchecked from a copy of the walker's blocks and the join of its
-    texts (``Partition._canonical``).
+    Built unchecked from a copy of the walker's blocks (``Partition._canonical``).
     """
-    return Partition._canonical(n, tuple(blocks), "/".join(texts))
+    return Partition._canonical(n, tuple(blocks))
 
 
 def _text_rows(n: int, kind: "Kind | str | None") -> "Iterator[tuple[str, str]]":
@@ -215,8 +214,8 @@ def noncrossing_partitions(n: int) -> Iterator[Partition]:
     append-and-close, append-and-keep-open, singleton, open-new-block.
     Raises CeilingExceededError past ENUMERATE_CEILING.
     """
-    for blocks, texts, _ in _walk(n, None):
-        yield _snapshot(n, blocks, texts)
+    for blocks, _, _ in _walk(n, None):
+        yield _snapshot(n, blocks)
 
 
 def _lonely_numbers(max_n: int) -> "list[int]":
@@ -278,8 +277,8 @@ def classified_stream(n: int, kind: "Kind | str | None" = None) -> "Iterator[tup
     CeilingExceededError past ENUMERATE_CEILING.
     """
     classes = {None: _LONELY}
-    for blocks, texts, witness in _walk(n, kind):
+    for blocks, _, witness in _walk(n, kind):
         c = classes.get(witness)
         if c is None:
             c = classes[witness] = Classification(Kind.MARRIAGEABLE, witness)
-        yield _snapshot(n, blocks, texts), c
+        yield _snapshot(n, blocks), c

@@ -19,14 +19,14 @@ noncrossing check on the lane side: :func:`partition_to_msl` leaves it to
 ``Msl``, and :func:`msl_to_partition` builds its canonical partition without
 a second check. The MSLs are streamed as the image of the partition walker
 under the bijection, in the walker's order. The ``intersection`` command
-takes its rows from the walker's state directly (:func:`_lane_rows`): one
-scan per row and no ``Msl``, while the checked functions above stay the
-library's lane model.
+takes its rows from the walker's state directly (:func:`_lane_rows`), with
+no ``Msl`` and no lane scan: absolute is lonely, which the walker decides.
+The checked functions above stay the library's lane model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .enumeration import _walk, noncrossing_partitions
 from .partitions import Partition, check_size
@@ -152,7 +152,7 @@ def msl_to_partition(m: Msl) -> Partition:
                 block.append(x)
             block.reverse()
             blocks.append(tuple(block))
-    return Partition._canonical(m.n, tuple(blocks), None)
+    return Partition._canonical(m.n, tuple(blocks))
 
 
 def is_absolute(m: Msl) -> bool:
@@ -169,12 +169,7 @@ def is_absolute(m: Msl) -> bool:
     innermost lane (its exit j, or -i for a lane opened at X_i, 0 for the top
     level), one id per lane, so equal ids are a shared region.
     """
-    return _absolute(m.exits)
-
-
-def _absolute(exits: "Sequence[int]") -> bool:
-    """:func:`is_absolute` on the exits of a valid MSL, read off one :func:`_u_turn_regions` scan."""
-    regions = _u_turn_regions(exits)
+    regions = _u_turn_regions(m.exits)
     return len(set(regions)) == len(regions)
 
 
@@ -212,13 +207,13 @@ def _lane_rows(n: int) -> "Iterator[tuple[str, bool, str]]":
     The same stream as ``(m.to_text(), is_absolute(m),
     msl_to_partition(m).to_text())`` over ``enumerate_msl(n)``: the exits
     come from the walker's blocks (:func:`_exits`), the lane text from a
-    :class:`_Tokens` table per entry, ``absolute`` from one lane scan and
+    :class:`_Tokens` table per entry, ``absolute`` from the walker's
+    witness (an MSL is absolute exactly when its partition is lonely) and
     the partition column from the walker's text. Raises
     CeilingExceededError past ENUMERATE_CEILING, when the first row is drawn.
     """
     check_size(n, least=1)
     tokens = [_Tokens(entry) for entry in range(1, n + 1)]
     token = dict.__getitem__  # calls __missing__ on a dict subclass
-    for blocks, texts, _ in _walk(n, None):
-        exits = _exits(n, blocks)
-        yield ",".join(map(token, tokens, exits)), _absolute(exits), "/".join(texts)
+    for blocks, texts, witness in _walk(n, None):
+        yield ",".join(map(token, tokens, _exits(n, blocks))), witness is None, "/".join(texts)

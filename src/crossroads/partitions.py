@@ -45,17 +45,16 @@ def check_size(n: int, *, least: int = 0, ceiling: "int | None" = None, what: st
 class Partition:
     """A set partition of {1, ..., n} in canonical form.
 
-    Blocks are stored as ascending tuples, ordered by their minimum element.
+    Blocks are stored as ascending tuples, ordered by their minimum element,
+    and are the whole value: :meth:`to_text` joins them on each call.
     Construction canonicalizes and validates (only the enumeration walker's
     snapshots and ``intersection.msl_to_partition`` skip both, through
-    :meth:`_canonical`),
-    so two partitions are equal exactly when they partition the same ground
-    set the same way.
+    :meth:`_canonical`), so two partitions are equal exactly when they
+    partition the same ground set the same way.
     """
 
     n: int
     blocks: tuple[tuple[int, ...], ...]
-    _text = None  # slash form stored by _canonical, if given; not a field, so ==, hash and repr ignore it
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         blocks = [tuple(b) for b in blocks]
@@ -68,21 +67,19 @@ class Partition:
         self._validate()
 
     @classmethod
-    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...], text: "str | None") -> "Partition":
-        """A partition from canonical blocks and their slash form, neither checked.
+    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "Partition":
+        """A partition from canonical blocks, unchecked.
 
-        ``text`` may be None, and :meth:`to_text` then joins the blocks. Two
-        callers, each guarded by a test that compares its output and text
-        with ``Partition(n, blocks)``: ``enumeration._snapshot``, which
-        copies the walker's blocks (opened in order of their minimum, grown
-        upward, covering 1..n) and joins their texts
-        (``test_walker_partitions_are_canonical`` through n = 10 and
-        ``test_walker_state_is_a_checked_partition_through_12``), and
+        Two callers, each guarded by a test that compares its output with
+        ``Partition(n, blocks)``: ``enumeration._snapshot``, which copies the
+        walker's blocks, opened in order of their minimum, grown upward and
+        covering 1..n (``test_walker_partitions_are_canonical`` through n = 10
+        and ``test_walker_state_is_a_checked_partition_through_12``), and
         ``intersection.msl_to_partition``, which reads each orbit up from its
         least element (``test_msl_partitions_are_canonical``, through n = 10).
         """
         self = object.__new__(cls)
-        self.__dict__.update(n=n, blocks=blocks, _text=text)  # one write past the frozen __setattr__
+        self.__dict__.update(n=n, blocks=blocks)  # one write past the frozen __setattr__
         return self
 
     def _validate(self) -> None:
@@ -123,8 +120,6 @@ class Partition:
 
     def to_text(self) -> str:
         """Inverse of :meth:`from_text`."""
-        if self._text is not None:
-            return self._text
         return "/".join([",".join(map(str, b)) for b in self.blocks])
 
     @property

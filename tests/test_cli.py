@@ -411,6 +411,13 @@ class TestExitCodes:
         assert result.output.startswith("error:")
         assert "Traceback" not in result.output
 
+    def test_empty_output_path(self, runner):
+        # an empty path is a path that cannot be opened, not a request for stdout
+        result = runner.invoke(cli, ["count", "--n", "3", "--output", ""])
+        assert result.exit_code == 1
+        assert result.output.startswith("error:") and result.output.count("\n") == 1
+        assert "lonely" not in result.output
+
     def test_output_path_is_directory(self, runner, tmp_path):
         result = runner.invoke(
             cli, ["enumerate", "--n", "4", "--output", str(tmp_path)]
@@ -504,15 +511,17 @@ class TestGoldenBytes:
 
 class TestRenderCells:
     COLUMNS = ("n", "match", "partition", "class")
-    ROWS = [(None, True, "1,2/3", "lonely"), (12, False, "", "marriageable")]
+    ROWS = [(None, True, "1,2/3", "lonely"), (12, False, "", "marriageable"), (0, 1, "1", "lonely")]
 
     @pytest.mark.parametrize("fmt, expected", [
-        ("csv", 'n,match,partition,class\n,true,"1,2/3",lonely\n12,false,"",marriageable\n'),
+        ("csv", 'n,match,partition,class\n,true,"1,2/3",lonely\n12,false,"",marriageable\n0,1,"1",lonely\n'),
         ("json", '{"n":null,"match":true,"partition":"1,2/3","class":"lonely"}\n'
-                 '{"n":12,"match":false,"partition":"","class":"marriageable"}\n'),
+                 '{"n":12,"match":false,"partition":"","class":"marriageable"}\n'
+                 '{"n":0,"match":1,"partition":"1","class":"lonely"}\n'),
     ])
     def test_none_bool_and_str_cells(self, capsys, fmt, expected):
-        # the text columns skip the per-cell conversion, the others keep it
+        # the text columns skip the per-cell conversion, the others keep it;
+        # the ints 0 and 1 stay ints, not bools
         _render(None, fmt, self.COLUMNS, iter(self.ROWS))
         assert capsys.readouterr().out == expected
 

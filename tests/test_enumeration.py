@@ -507,7 +507,7 @@ SIZED = [
     _sized(lower_bound_marriageable, 3),
     _sized(lambda n: ratio_report(n, tally_range(3)), name="ratio_report"),
     # an unchecked partition, so the size reaches partition_to_msl's own check
-    _sized(lambda n: partition_to_msl(Partition._canonical(n, (), "")), 1, "partition_to_msl"),
+    _sized(lambda n: partition_to_msl(Partition._canonical(n, ())), 1, "partition_to_msl"),
     _sized(enumerate_msl, 1),
     _sized(lambda n: _text_rows(n, None), name="_text_rows"),
     _sized(_lane_rows, 1),

@@ -158,16 +158,17 @@ def test_unchecked_partitions_are_built_in_two_places():
 
 
 def test_lane_regions_are_scanned_in_two_places():
-    """One lane scan with two readers: ``Msl`` validation reads its verdict, ``_absolute`` its regions.
+    """One lane scan with two readers: ``Msl`` validation reads its verdict, ``is_absolute`` its regions.
 
-    ``_absolute`` takes exits, so ``is_absolute`` and ``intersection``'s rows,
-    which build no ``Msl``, share it.
+    ``intersection``'s rows build no ``Msl`` and run no lane scan: they read
+    ``absolute`` off the walker's witness, so a per-row scan added back
+    fails here.
     """
     found = [
         owner for owner, node in _owned_nodes()
         if getattr(node, "id", getattr(node, "attr", None)) == "_u_turn_regions"
     ]
-    assert sorted(found) == ["intersection.Msl.__init__", "intersection._absolute"]
+    assert sorted(found) == ["intersection.Msl.__init__", "intersection.is_absolute"]
     # and nothing caches the regions: a lane set is its exit permutation alone
     assert [f.name for f in dataclasses.fields(crossroads.Msl)] == ["exits"]
     assert vars(crossroads.Msl((1,))) == {"exits": (1,)}
