@@ -25,7 +25,7 @@ import click
 from .enumeration import CountJob, _text_rows, tally, tally_range
 from .formulas import SequenceRow, lower_bound_lonely, lower_bound_marriageable, ratio_report, two_digits
 from .intersection import _lane_rows
-from .partitions import CeilingExceededError
+from .partitions import CeilingExceededError, Kind, check_size
 from .reference import MAX_PUBLISHED_N, published_row
 
 USAGE_EXIT = 64
@@ -238,10 +238,7 @@ def verify(max_n: int, fmt: str, output: "str | None"):
 
     Exits 0 when every row matches and 2 otherwise, listing each mismatch.
     """
-    if max_n > MAX_PUBLISHED_N:
-        raise CeilingExceededError(
-            f"published reference values stop at n={MAX_PUBLISHED_N}, got {max_n}"
-        )
+    check_size(max_n, ceiling=MAX_PUBLISHED_N, what="the published table")
     rows = []
     for t in tally_range(max_n):
         computed, published = astuple(t)[1:], published_row(t.n)
@@ -261,7 +258,7 @@ def verify(max_n: int, fmt: str, output: "str | None"):
 
 @cli.command(name="enumerate")
 @click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--class", "wanted", type=click.Choice(["lonely", "marriageable"]), default=None,
+@click.option("--class", "wanted", type=click.Choice([k.value for k in Kind]), default=None,
               help="Stream only one class.")
 @format_option
 @output_option

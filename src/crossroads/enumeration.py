@@ -13,8 +13,8 @@ walker over the moves generates each partition once, already canonical, and
 classifies it on the way: a partition is marriageable exactly when two
 singletons share a region (the top level or one gap of one block).
 ``noncrossing_partitions`` and ``classified_stream`` are thin views of it
-that copy its live state into values; the ``enumerate`` and ``intersection``
-commands read that state directly.
+that copy its live blocks into values (``Partition._canonical``); the
+``enumerate`` and ``intersection`` commands read that state directly.
 
 Counting visits no partition at all: the lonely numbers are the coefficients
 of an algebraic generating function, and they obey a linear recurrence with
@@ -36,8 +36,6 @@ generator frame per position, the frame of position n making the forced last
 move and yielding the leaf, and each view adds one; with the default
 recursion limit the first item of every view is drawn through n = 994 and
 fails at n = 995 (by bisection with the ceiling lifted)."""
-
-_LONELY = Classification(Kind.LONELY)
 
 _LONELY_START = (1, 1, 1, 4, 9)
 """L_0..L_4, from which the recurrence of :func:`_lonely_numbers` runs."""
@@ -188,14 +186,6 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[list, list, tupl
     return walk(1, 0, None)
 
 
-def _snapshot(n: int, blocks: "list[tuple[int, ...]]") -> Partition:
-    """The partition at a walker leaf, as a value that outlives the leaf.
-
-    Built unchecked from a copy of the walker's blocks (``Partition._canonical``).
-    """
-    return Partition._canonical(n, tuple(blocks))
-
-
 def _text_rows(n: int, kind: "Kind | str | None") -> "Iterator[tuple[str, str]]":
     """``enumerate``'s rows: each partition's text and its class value, read off the walker.
 
@@ -203,8 +193,9 @@ def _text_rows(n: int, kind: "Kind | str | None") -> "Iterator[tuple[str, str]]"
     c.kind.value)``, without a ``Partition`` or a ``Classification`` per row.
     """
     join = "/".join
+    lonely, marriageable = Kind.LONELY.value, Kind.MARRIAGEABLE.value
     for _, texts, witness in _walk(n, kind):
-        yield join(texts), "lonely" if witness is None else "marriageable"
+        yield join(texts), lonely if witness is None else marriageable
 
 
 def noncrossing_partitions(n: int) -> Iterator[Partition]:
@@ -215,7 +206,7 @@ def noncrossing_partitions(n: int) -> Iterator[Partition]:
     Raises CeilingExceededError past ENUMERATE_CEILING.
     """
     for blocks, _, _ in _walk(n, None):
-        yield _snapshot(n, blocks)
+        yield Partition._canonical(n, blocks)
 
 
 def _lonely_numbers(max_n: int) -> "list[int]":
@@ -270,15 +261,15 @@ def classified_stream(n: int, kind: "Kind | str | None" = None) -> "Iterator[tup
     ``kind`` is a :class:`Kind` or its value, e.g. ``"lonely"``; any other
     value raises ValueError. The classification is made during generation
     and agrees with :func:`classify`, witness included. Each pair is a value
-    that stays valid, a snapshot of the walker's live state
-    (:func:`_snapshot`); leaves with the same witness share one frozen
-    ``Classification``, n(n-1)/2 + 1 of them at most. The ``enumerate``
-    command reads that state as text instead (:func:`_text_rows`). Raises
-    CeilingExceededError past ENUMERATE_CEILING.
+    that stays valid: the partition copies the walker's live blocks
+    (``Partition._canonical``), and leaves with the same witness share one
+    frozen ``Classification``, n(n-1)/2 + 1 of them at most. The
+    ``enumerate`` command reads that state as text instead
+    (:func:`_text_rows`). Raises CeilingExceededError past ENUMERATE_CEILING.
     """
-    classes = {None: _LONELY}
+    classes = {}
     for blocks, _, witness in _walk(n, kind):
         c = classes.get(witness)
         if c is None:
-            c = classes[witness] = Classification(Kind.MARRIAGEABLE, witness)
-        yield _snapshot(n, blocks), c
+            c = classes[witness] = Classification(witness)
+        yield Partition._canonical(n, blocks), c

@@ -152,7 +152,7 @@ def msl_to_partition(m: Msl) -> Partition:
                 block.append(x)
             block.reverse()
             blocks.append(tuple(block))
-    return Partition._canonical(m.n, tuple(blocks))
+    return Partition._canonical(m.n, blocks)
 
 
 def is_absolute(m: Msl) -> bool:
@@ -213,7 +213,8 @@ def _lane_rows(n: int) -> "Iterator[tuple[str, bool, str]]":
     CeilingExceededError past ENUMERATE_CEILING, when the first row is drawn.
     """
     check_size(n, least=1)
+    leaves = _walk(n, None)  # checks the ceiling before n token tables are made
     tokens = [_Tokens(entry) for entry in range(1, n + 1)]
     token = dict.__getitem__  # calls __missing__ on a dict subclass
-    for blocks, texts, witness in _walk(n, None):
+    for blocks, texts, witness in leaves:
         yield ",".join(map(token, tokens, _exits(n, blocks))), witness is None, "/".join(texts)

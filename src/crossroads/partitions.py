@@ -22,9 +22,9 @@ from typing import Iterable
 
 
 class CeilingExceededError(ValueError):
-    """A ground-set size above an operation's ceiling, raised by :func:`check_size`.
+    """A ground-set size above an operation's ceiling, raised only by :func:`check_size`.
 
-    The CLI exits 65 on it; only its ``verify`` raises it itself, past the published rows.
+    The CLI exits 65 on it.
     """
 
 
@@ -48,7 +48,7 @@ class Partition:
     Blocks are stored as ascending tuples, ordered by their minimum element,
     and are the whole value: :meth:`to_text` joins them on each call.
     Construction canonicalizes and validates (only the enumeration walker's
-    snapshots and ``intersection.msl_to_partition`` skip both, through
+    views and ``intersection.msl_to_partition`` skip both, through
     :meth:`_canonical`), so two partitions are equal exactly when they
     partition the same ground set the same way.
     """
@@ -67,19 +67,20 @@ class Partition:
         self._validate()
 
     @classmethod
-    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "Partition":
-        """A partition from canonical blocks, unchecked.
+    def _canonical(cls, n: int, blocks: "Iterable[tuple[int, ...]]") -> "Partition":
+        """A partition from canonical blocks, unchecked; it keeps its own tuple, so a live list may be passed.
 
-        Two callers, each guarded by a test that compares its output with
-        ``Partition(n, blocks)``: ``enumeration._snapshot``, which copies the
-        walker's blocks, opened in order of their minimum, grown upward and
-        covering 1..n (``test_walker_partitions_are_canonical`` through n = 10
-        and ``test_walker_state_is_a_checked_partition_through_12``), and
+        Three callers, each guarded by a test that compares its output with
+        ``Partition(n, blocks)``: ``enumeration.noncrossing_partitions`` and
+        ``enumeration.classified_stream``, which pass the walker's live list
+        of blocks, opened in order of their minimum, grown upward and covering
+        1..n (``test_walker_partitions_are_canonical`` through n = 10 and
+        ``test_walker_state_is_a_checked_partition_through_12``), and
         ``intersection.msl_to_partition``, which reads each orbit up from its
         least element (``test_msl_partitions_are_canonical``, through n = 10).
         """
         self = object.__new__(cls)
-        self.__dict__.update(n=n, blocks=blocks)  # one write past the frozen __setattr__
+        self.__dict__.update(n=n, blocks=tuple(blocks))  # one write past the frozen __setattr__
         return self
 
     def _validate(self) -> None:
@@ -138,19 +139,23 @@ class Kind(enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Outcome of classifying a noncrossing partition.
+    """Outcome of classifying a noncrossing partition: its witness, and the kind read off it.
 
-    ``witness`` is a mergeable singleton pair (i, j) with i < j, present
-    exactly when the kind is marriageable; it is the lexicographically
-    smallest such pair.
+    ``witness`` is the lexicographically smallest mergeable singleton pair
+    (i, j), i < j, or None when there is none. A partition is lonely exactly
+    when it has no such pair, so the witness is the whole value and
+    :attr:`kind` follows from it.
     """
 
-    kind: Kind
     witness: "tuple[int, int] | None" = None
 
     @property
+    def kind(self) -> Kind:
+        return Kind.LONELY if self.witness is None else Kind.MARRIAGEABLE
+
+    @property
     def is_lonely(self) -> bool:
-        return self.kind is Kind.LONELY
+        return self.witness is None
 
 
 def _regions(p: Partition) -> "dict[tuple[int, int] | None, list[int]] | None":
@@ -219,9 +224,7 @@ def classify(p: Partition) -> Classification:
     crossing partition.
     """
     pairs = [members[:2] for members in nesting_forest(p).values() if len(members) >= 2]
-    if not pairs:
-        return Classification(Kind.LONELY)
-    return Classification(Kind.MARRIAGEABLE, min(pairs))
+    return Classification(min(pairs) if pairs else None)
 
 
 classify_fast = classify  # kept only because bench/tracer.py wraps this name

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .enumeration import Tally, noncrossing_partitions
 from .formulas import catalan
-from .partitions import Classification, Kind, Partition, check_size
+from .partitions import Classification, Partition, check_size
 
 ORACLE_CEILING = 10
 """Largest n accepted by the brute-force oracle over all set partitions."""
@@ -99,8 +99,8 @@ def classify_definitional(p: Partition) -> Classification:
     """
     for i, j in combinations(p.singletons, 2):
         if can_merge(p, i, j):
-            return Classification(Kind.MARRIAGEABLE, (i, j))
-    return Classification(Kind.LONELY)
+            return Classification((i, j))
+    return Classification()
 
 
 def oracle_tally(n: int) -> Tally:

@@ -12,6 +12,8 @@ from pathlib import Path
 import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossroads import COUNT_CEILING, ENUMERATE_CEILING, catalan, classified_stream
 from crossroads.cli import CHUNK_LINES, USAGE_EXIT, _render, cli
@@ -131,6 +133,8 @@ class TestVerify:
     def test_beyond_reference_data(self, runner):
         result = runner.invoke(cli, ["verify", "--max-n", "15"])
         assert result.exit_code == 65
+        assert result.stdout == ""
+        assert result.stderr == "error: the published table is capped at n=14, got 15\n"
 
     def test_csv_bytes(self, runner):
         result = runner.invoke(cli, ["verify", "--max-n", "3", "--format", "csv"])
@@ -425,6 +429,59 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert result.output.startswith("error:")
         assert "Traceback" not in result.output
+
+
+SIZES = ["-1", "0", "1", "2", "5", "8", "14", "15", "2000", "2001", "501", "1.0", "0x10", "", "1" * 23]
+"""Size arguments: negative, small, at and past the published table (14), at and past
+COUNT_CEILING (2000), past ENUMERATE_CEILING (500), a float, hex, empty and 23 digits."""
+
+STREAM_SIZES = [size for size in SIZES if size not in ("14", "15")]
+"""The sizes ``enumerate`` and ``intersection`` draw: at most 8 or past their ceiling, so no draw streams for long."""
+
+
+def _rarely(draw, values):
+    """One of ``values`` on about one draw in five, else None, so most argvs get past parsing."""
+    return draw(st.sampled_from(values)) if draw(st.integers(0, 4)) == 0 else None
+
+
+@st.composite
+def argvs(draw):
+    """An argv over every subcommand, with sizes, choices and options in and out of their sets."""
+    command = draw(st.sampled_from(sorted(cli.commands) + ["frobnicate"]))
+    argv = [command]
+    if command in cli.commands:
+        stream = command in ("enumerate", "intersection")
+        option = "--n" if stream or command == "count" else "--max-n"
+        argv += [option, draw(st.sampled_from(STREAM_SIZES if stream else SIZES))]
+    if command == "enumerate":
+        wanted = draw(st.sampled_from([None, "lonely", "marriageable", "single"]))
+        argv += ["--class", wanted] if wanted else []
+    if command == "bfile":
+        argv += ["--seq", draw(st.sampled_from(["L", "M", "Q"]))]
+    fmt = draw(st.sampled_from([None, "text", "json", "csv", "xml"]))
+    argv += ["--format", fmt] if fmt else []
+    # paths that cannot be opened for writing, so no draw writes a file
+    output = _rarely(draw, ["", os.curdir, os.path.join(os.devnull, "out")])
+    argv += ["--output", output] if output is not None else []
+    if _rarely(draw, [True]):
+        argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argvs())
+def test_exit_code_contract(argv):
+    """Every argv exits with a documented code, raises nothing but SystemExit, and writes parseable output."""
+    result = CliRunner().invoke(cli, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    assert result.exit_code in (0, 1, 2, 64, 65), argv
+    if result.exit_code in (1, 65):
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), argv
+    if result.exit_code == 0 and "json" in argv:
+        assert all(json.loads(line) is not None for line in result.stdout.splitlines())
+    if result.exit_code == 0 and "csv" in argv:
+        header, *rows = csv.reader(io.StringIO(result.stdout))
+        assert all(len(row) == len(header) for row in rows), argv
 
 
 def _sha256(data: bytes) -> str:

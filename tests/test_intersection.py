@@ -18,7 +18,7 @@ from crossroads import (
     partition_to_msl,
     tally,
 )
-from crossroads import CountJob
+from crossroads import CountJob, intersection
 from crossroads.intersection import _lane_rows
 from crossroads.routes import all_set_partitions, is_msl, is_noncrossing_definitional, lanes_cross
 
@@ -329,3 +329,11 @@ class TestEnumerateMsl:
             next(enumerate_msl(ENUMERATE_CEILING + 1))
         with pytest.raises(ValueError):
             next(enumerate_msl(0))
+
+    def test_lane_rows_refuse_before_making_tokens(self, monkeypatch):
+        # one token table per entry: made before the ceiling check, a 23-digit n exhausts memory
+        made = []
+        monkeypatch.setattr(intersection, "_Tokens", made.append)
+        with pytest.raises(CeilingExceededError, match="^enumeration is capped at n=500, got 200000$"):
+            next(_lane_rows(200_000))
+        assert made == []

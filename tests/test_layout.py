@@ -134,27 +134,29 @@ def _owned_nodes():
 
 
 def test_ceiling_errors_are_built_in_one_place():
-    """Every size ceiling is enforced by ``check_size``; only ``cli.verify``'s published-row limit is its own."""
+    """Every size ceiling is enforced by ``check_size``, ``cli.verify``'s published-row limit included."""
     found = [
         owner for owner, node in _owned_nodes()
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CeilingExceededError"
     ]
-    assert sorted(found) == ["cli.verify", "partitions.check_size"]
+    assert sorted(found) == ["partitions.check_size"]
 
 
-def test_unchecked_partitions_are_built_in_two_places():
-    """Only the walker's snapshot and the lane bijection skip ``Partition`` validation, each guarded by a test.
+def test_unchecked_partitions_are_built_in_three_places():
+    """Only the walker's two partition views and the lane bijection skip ``Partition`` validation.
 
-    The walker yields its live lists; ``_snapshot`` is the one function that
-    turns them into partitions, for ``noncrossing_partitions`` and
-    ``classified_stream``.
+    Each is guarded by a test. The walker yields its live lists;
+    ``noncrossing_partitions`` and ``classified_stream`` hand the list of
+    blocks to ``Partition._canonical``, which makes the copy.
     """
     found = [
         owner for owner, node in _owned_nodes()
         if isinstance(node, ast.Attribute) and node.attr == "_canonical"
     ]
-    assert sorted(found) == ["enumeration._snapshot", "intersection.msl_to_partition"]
+    assert sorted(found) == [
+        "enumeration.classified_stream", "enumeration.noncrossing_partitions", "intersection.msl_to_partition",
+    ]
 
 
 def test_lane_regions_are_scanned_in_two_places():

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import combinations, permutations
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossroads import (
+    Classification,
     Kind,
     Partition,
     absorb_into_first,
@@ -202,6 +204,16 @@ class TestClassify:
     def test_rejects_crossing(self):
         with pytest.raises(ValueError):
             classify(Partition(4, [[1, 3], [2, 4]]))
+
+    def test_a_classification_is_its_witness(self):
+        lonely = Classification()
+        assert lonely.is_lonely and lonely.kind is Kind.LONELY and lonely.witness is None
+        married = Classification((2, 3))
+        assert not married.is_lonely and married.kind is Kind.MARRIAGEABLE and married.witness == (2, 3)
+        assert married == Classification((2, 3)) and hash(married) == hash(Classification((2, 3)))
+        assert married != Classification((2, 4)) and married != lonely
+        # the kind is read off the witness, never stored beside it
+        assert [f.name for f in fields(Classification)] == ["witness"]
 
     def test_region_examples(self):
         assert classify(P("1,4/2/3")) == classify_definitional(P("1,4/2/3"))
