@@ -41,7 +41,6 @@ from .intersection import (
 )
 from .partitions import (
     CeilingExceededError,
-    Classification,
     Kind,
     Partition,
     absorb_into_first,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "COUNT_CEILING",
     "CeilingExceededError",
-    "Classification",
     "CountJob",
     "ENUMERATE_CEILING",
     "Kind",

@@ -27,7 +27,7 @@ from operator import mul
 from typing import Iterator
 
 from .formulas import COUNT_CEILING, catalan
-from .partitions import Classification, Kind, Partition, check_size
+from .partitions import Kind, Partition, check_size
 
 ENUMERATE_CEILING = 500
 """Largest n accepted by noncrossing_partitions, classified_stream and
@@ -190,7 +190,8 @@ def _text_rows(n: int, kind: "Kind | str | None") -> "Iterator[tuple[str, str]]"
     """``enumerate``'s rows: each partition's text and its class value, read off the walker.
 
     The same stream as ``classified_stream(n, kind)`` as ``(p.to_text(),
-    c.kind.value)``, without a ``Partition`` or a ``Classification`` per row.
+    "lonely" if witness is None else "marriageable")``, without a
+    ``Partition`` per row.
     """
     join = "/".join
     lonely, marriageable = Kind.LONELY.value, Kind.MARRIAGEABLE.value
@@ -255,21 +256,17 @@ def tally_range(max_n: int) -> "list[Tally]":
     return tallies
 
 
-def classified_stream(n: int, kind: "Kind | str | None" = None) -> "Iterator[tuple[Partition, Classification]]":
-    """Stream (partition, classification) pairs in generation order, optionally one class only.
+def classified_stream(n: int, kind: "Kind | str | None" = None) -> "Iterator[tuple[Partition, tuple[int, int] | None]]":
+    """Stream (partition, witness) pairs in generation order, optionally one class only.
 
     ``kind`` is a :class:`Kind` or its value, e.g. ``"lonely"``; any other
-    value raises ValueError. The classification is made during generation
-    and agrees with :func:`classify`, witness included. Each pair is a value
-    that stays valid: the partition copies the walker's live blocks
-    (``Partition._canonical``), and leaves with the same witness share one
-    frozen ``Classification``, n(n-1)/2 + 1 of them at most. The
-    ``enumerate`` command reads that state as text instead
-    (:func:`_text_rows`). Raises CeilingExceededError past ENUMERATE_CEILING.
+    value raises ValueError. The witness, the least mergeable singleton pair
+    or None for a lonely partition, is found during generation and equals
+    :func:`classify`. Each pair is a value that stays valid: the partition
+    copies the walker's live blocks (``Partition._canonical``), and the
+    witness is an immutable tuple, not live state. The ``enumerate`` command
+    reads that state as text instead (:func:`_text_rows`). Raises
+    CeilingExceededError past ENUMERATE_CEILING.
     """
-    classes = {}
     for blocks, _, witness in _walk(n, kind):
-        c = classes.get(witness)
-        if c is None:
-            c = classes[witness] = Classification(witness)
-        yield Partition._canonical(n, blocks), c
+        yield Partition._canonical(n, blocks), witness

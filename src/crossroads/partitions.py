@@ -11,6 +11,8 @@ The module provides the canonical :class:`Partition` value, one linear scan
 that decides nesting and groups the singletons by region (the noncrossing
 test and the classifier both read it), and six constructive maps that grow
 classified partitions by one or two elements while preserving their class.
+The classifier returns the witness, the least mergeable singleton pair, or
+None for a lonely partition: the witness is the whole classification.
 It also holds :func:`check_size`, the one check of a ground-set size that
 every entry point of the library runs.
 """
@@ -137,27 +139,6 @@ class Kind(enum.Enum):
     MARRIAGEABLE = "marriageable"
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Outcome of classifying a noncrossing partition: its witness, and the kind read off it.
-
-    ``witness`` is the lexicographically smallest mergeable singleton pair
-    (i, j), i < j, or None when there is none. A partition is lonely exactly
-    when it has no such pair, so the witness is the whole value and
-    :attr:`kind` follows from it.
-    """
-
-    witness: "tuple[int, int] | None" = None
-
-    @property
-    def kind(self) -> Kind:
-        return Kind.LONELY if self.witness is None else Kind.MARRIAGEABLE
-
-    @property
-    def is_lonely(self) -> bool:
-        return self.witness is None
-
-
 def _regions(p: Partition) -> "dict[tuple[int, int] | None, list[int]] | None":
     """The singletons of ``p`` grouped by region in one scan, or None when ``p`` crosses.
 
@@ -208,8 +189,12 @@ def nesting_forest(p: Partition) -> "dict[tuple[int, int] | None, tuple[int, ...
     return {k: tuple(v) for k, v in regions.items()}
 
 
-def classify(p: Partition) -> Classification:
-    """Classify a noncrossing partition from its singleton regions, in linear time.
+def classify(p: Partition) -> "tuple[int, int] | None":
+    """The witness of a noncrossing partition, its least mergeable singleton pair, or None when lonely.
+
+    The witness is the whole classification: a partition is lonely exactly
+    when no pair of its singletons can be merged, so ``classify(p) is None``
+    reads the class. It is found from the singleton regions in linear time.
 
     A region is the top level or one gap of one block (see
     :func:`nesting_forest`). Two singletons can be merged into a pair block
@@ -219,19 +204,19 @@ def classify(p: Partition) -> Classification:
     exactly that out. The region is finer than the enclosing block alone,
     because elements of that block also separate its gaps. So the partition
     is marriageable exactly when some region holds two or more singletons,
-    and the witness, the lexicographically smallest mergeable pair, is the
-    least first two members of such a region. Raises ValueError on a
-    crossing partition.
+    and the witness, the lexicographically smallest mergeable pair (i, j),
+    i < j, is the least first two members of such a region. Raises
+    ValueError on a crossing partition.
     """
     pairs = [members[:2] for members in nesting_forest(p).values() if len(members) >= 2]
-    return Classification(min(pairs) if pairs else None)
+    return min(pairs) if pairs else None
 
 
 classify_fast = classify  # kept only because bench/tracer.py wraps this name
 
 
 def _require_kind(p: Partition, kind: Kind, who: str) -> None:
-    found = classify(p).kind
+    found = Kind.LONELY if classify(p) is None else Kind.MARRIAGEABLE
     if found is not kind:
         raise ValueError(f"{who} requires a {kind.value} partition, got {found.value}")
 

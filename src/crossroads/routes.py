@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .enumeration import Tally, noncrossing_partitions
 from .formulas import catalan
-from .partitions import Classification, Partition, check_size
+from .partitions import Partition, check_size
 
 ORACLE_CEILING = 10
 """Largest n accepted by the brute-force oracle over all set partitions."""
@@ -91,16 +91,16 @@ def can_merge(p: Partition, i: int, j: int) -> bool:
     return is_noncrossing_definitional(merge_singletons(p, i, j))
 
 
-def classify_definitional(p: Partition) -> Classification:
-    """The definition as a classifier: the first singleton pair that passes :func:`can_merge`.
+def classify_definitional(p: Partition) -> "tuple[int, int] | None":
+    """The definition as a classifier: the first singleton pair that passes :func:`can_merge`, or None.
 
     Pairs are tried in lexicographic order, so the witness is the smallest
-    mergeable pair, as ``classify`` promises.
+    mergeable pair, as ``classify`` promises, and None means lonely.
     """
     for i, j in combinations(p.singletons, 2):
         if can_merge(p, i, j):
-            return Classification((i, j))
-    return Classification()
+            return (i, j)
+    return None
 
 
 def oracle_tally(n: int) -> Tally:
@@ -113,7 +113,7 @@ def oracle_tally(n: int) -> Tally:
     for p in all_set_partitions(n):
         if is_noncrossing_definitional(p):
             total += 1
-            lonely += classify_definitional(p).is_lonely
+            lonely += classify_definitional(p) is None
     return Tally(n, lonely, total - lonely, total)
 
 

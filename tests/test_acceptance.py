@@ -35,7 +35,6 @@ from click.testing import CliRunner
 
 from crossroads import (
     CountJob,
-    Kind,
     Tally,
     absorb_into_first,
     absorb_into_last,
@@ -252,8 +251,8 @@ def test_criterion_7_injection_maps():
     problem = None
     for n in range(0, 8):
         parts = list(noncrossing_partitions(n))
-        lonely = [p for p in parts if classify(p).is_lonely]
-        marriageable = [p for p in parts if not classify(p).is_lonely]
+        lonely = [p for p in parts if classify(p) is None]
+        marriageable = [p for p in parts if classify(p) is not None]
         f_img = {grow_lonely(p) for p in lonely}
         g_img = {grow_marriageable(p) for p in marriageable}
         h_img = {add_singleton_pair(p) for p in parts}
@@ -268,14 +267,14 @@ def test_criterion_7_injection_maps():
         ):
             problem = f"two-element map not injective at n={n}"
             break
-        if any(not classify(q).is_lonely for q in f_img):
+        if any(classify(q) is not None for q in f_img):
             problem = f"grow_lonely image leaves the lonely class at n={n}"
             break
         wrong = [
             q
             for img in (g_img, h_img, i_img, j_img, k_img)
             for q in img
-            if classify(q).is_lonely
+            if classify(q) is None
         ]
         if wrong:
             problem = f"a marriageable-image map produced {wrong[0].to_text()!r} at n={n}"

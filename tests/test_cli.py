@@ -600,7 +600,7 @@ class TestChunkedWrites:
     def test_a_stream_takes_one_write_per_chunk(self, monkeypatch):
         stdout = self._CountingStdout()
         monkeypatch.setattr(sys, "stdout", stdout)
-        rows = ((p.to_text(), c.kind.value) for p, c in classified_stream(10))
+        rows = ((p.to_text(), "lonely" if w is None else "marriageable") for p, w in classified_stream(10))
         _render(None, "csv", ("partition", "class"), rows)
         assert len(stdout.writes) <= math.ceil(catalan(10) / CHUNK_LINES) + 1
         assert max(text.count("\n") for text in stdout.writes) <= CHUNK_LINES

@@ -391,14 +391,14 @@ class TestClassifiedStream:
         for kind in (Kind.LONELY, "lonely"):
             items = list(classified_stream(5, kind))
             assert len(items) == 26, kind
-            assert all(c.kind is Kind.LONELY for _, c in items)
+            assert all(witness is None for _, witness in items)
         with pytest.raises(ValueError):
             next(classified_stream(5, "bogus"))
 
     def test_unfiltered_stream_is_complete(self):
         items = list(classified_stream(4))
         assert len(items) == 14
-        marr = [p for p, c in items if c.kind is Kind.MARRIAGEABLE]
+        marr = [p for p, witness in items if witness is not None]
         assert len(marr) == 5
 
     @staticmethod
@@ -407,7 +407,7 @@ class TestClassifiedStream:
         for kind in (None, Kind.LONELY, Kind.MARRIAGEABLE, "lonely", "marriageable"):
             wanted = kind and Kind(kind)
             assert list(classified_stream(n, kind)) == [
-                (p, c) for p, c in expected if wanted is None or c.kind is wanted
+                (p, w) for p, w in expected if wanted is None or (w is None) == (wanted is Kind.LONELY)
             ], (n, kind)
 
     def test_walker_matches_the_definitional_classifier(self):
@@ -434,18 +434,10 @@ class TestClassifiedStream:
     def test_first_position_is_the_forced_last(self, n, kind):
         # position n is both the walk's first move and its forced last one
         everything = list(classified_stream(n))
-        assert all(c == classify(p) for p, c in everything)
+        assert all(w == classify(p) for p, w in everything)
         wanted = kind and Kind(kind)
         stream = list(classified_stream(n, kind))
-        assert stream == [(p, c) for p, c in everything if wanted is None or c.kind is wanted]
-
-    def test_one_classification_per_witness(self):
-        # a classification is frozen, so the walk hands out one object per witness
-        for n in range(8):
-            shared = {}
-            for _, c in classified_stream(n):
-                assert shared.setdefault(c.witness, c) is c, n
-            assert len(shared) <= n * (n - 1) // 2 + 1, n
+        assert stream == [(p, w) for p, w in everything if wanted is None or (w is None) == (wanted is Kind.LONELY)]
 
     def test_walker_state_is_a_checked_partition_through_12(self):
         # the walker's live lists and witness at each leaf against the validated Partition
@@ -459,7 +451,7 @@ class TestClassifiedStream:
                 text for blocks, text, witness in leaves(n, None)
                 if text in texts or texts.add(text)
                 or (checked := Partition(n, blocks)).blocks != blocks or checked.to_text() != text
-                or classify(checked).witness != witness
+                or classify(checked) != witness
             ]
             assert wrong == [] and len(texts) == catalan(n), n
             for kind in (Kind.LONELY, Kind.MARRIAGEABLE) + (("lonely", "marriageable") if n < 11 else ()):
@@ -470,7 +462,7 @@ class TestClassifiedStream:
     @pytest.mark.parametrize("kind", [None, Kind.LONELY, Kind.MARRIAGEABLE, "lonely", "marriageable"])
     def test_text_rows_are_the_classified_stream(self, kind):
         for n in range(11):
-            expected = [(p.to_text(), c.kind.value) for p, c in classified_stream(n, kind)]
+            expected = [(p.to_text(), "lonely" if w is None else "marriageable") for p, w in classified_stream(n, kind)]
             assert list(_text_rows(n, kind)) == expected, n
 
     def test_empty_ground_set(self):

@@ -299,7 +299,7 @@ class TestEnumerateMsl:
     def test_absolute_iff_lonely(self):
         for n in range(1, 10):
             for p in noncrossing_partitions(n):
-                assert is_absolute(partition_to_msl(p)) == classify(p).is_lonely, p
+                assert is_absolute(partition_to_msl(p)) == (classify(p) is None), p
 
     def test_absolute_count_is_lonely_count(self):
         for n in range(1, 7):

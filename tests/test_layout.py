@@ -3,10 +3,12 @@ import ast
 import dataclasses
 import functools
 import importlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -81,7 +83,7 @@ def test_definition_route_reaches_no_region_scan(monkeypatch):
     monkeypatch.setattr(crossroads.partitions, "_regions", refuse)
     p = crossroads.Partition.from_text("1,4/2/3/5")
     assert crossroads.routes.can_merge(p, 2, 3) and not crossroads.routes.can_merge(p, 3, 5)
-    assert crossroads.routes.classify_definitional(p).witness == (2, 3)
+    assert crossroads.routes.classify_definitional(p) == (2, 3)
     assert crossroads.routes.oracle_tally(7) == crossroads.Tally(7, 232, 197, 429)
 
 
@@ -210,3 +212,35 @@ def test_readme_ceilings_are_the_code_ceilings():
         if module is None or value and getattr(module, name) != int(value):
             wrong.append(f"{name} = {value}" if value else name)
     assert wrong == []
+
+
+def _leading_literal(comment: str):
+    """The longest prefix of ``comment`` that is a Python literal, as ``(True, value)``, else ``(False, None)``."""
+    for end in range(len(comment), 0, -1):
+        try:
+            return True, ast.literal_eval(comment[:end])
+        except (ValueError, TypeError, SyntaxError):
+            pass
+    return False, None
+
+
+def test_readme_library_example_runs():
+    """The README's one python block runs, and each ``expr  # literal...`` line evaluates to that literal."""
+    (source,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    comments = {
+        token.start[0]: token.string[1:].strip()
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    wrong, checked = [], 0
+    for statement in ast.parse(source).body:
+        found, expected = _leading_literal(comments.get(statement.end_lineno, ""))
+        if isinstance(statement, ast.Expr) and found:
+            value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+            checked += 1
+            if value != expected:
+                wrong.append(f"{ast.unparse(statement)} gives {value!r}, the README says {expected!r}")
+        else:
+            exec(compile(ast.Module([statement], type_ignores=[]), "README.md", "exec"), namespace)
+    assert wrong == [] and checked >= 3

@@ -1,4 +1,3 @@
-from dataclasses import fields
 from itertools import combinations, permutations
 
 import pytest
@@ -6,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossroads import (
-    Classification,
-    Kind,
     Partition,
     absorb_into_first,
     absorb_into_last,
@@ -30,6 +27,18 @@ from crossroads.routes import (
 
 def P(text):
     return Partition.from_text(text)
+
+
+# each constructive map's refusal, word for word: the class words pin the
+# direction of the witness-to-Kind test in _require_kind
+REFUSALS = [
+    (grow_lonely, P("1/2"), "grow_lonely requires a lonely partition, got marriageable"),
+    (grow_marriageable, P("1,2"), "grow_marriageable requires a marriageable partition, got lonely"),
+    (add_pair_block, P("1,2"), "add_pair_block requires a marriageable partition, got lonely"),
+    (absorb_into_first, P("1,2"), "absorb_into_first requires a marriageable partition, got lonely"),
+    (absorb_into_last, P("1/2,3"), "absorb_into_last requires a marriageable partition, got lonely"),
+    (add_singleton_pair, Partition(4, [[1, 3], [2, 4]]), "add_singleton_pair requires a noncrossing partition"),
+]
 
 
 class TestPartitionValue:
@@ -193,54 +202,42 @@ class TestMerge:
 
 class TestClassify:
     def test_marriageable_with_witness(self):
-        c = classify(P("1,2/3/4"))
-        assert c.kind is Kind.MARRIAGEABLE
-        assert c.witness == (3, 4)
+        assert classify(P("1,2/3/4")) == (3, 4)
 
     def test_lonely_examples(self):
-        assert classify(P("1/2,4/3")).kind is Kind.LONELY
-        assert classify(P("1,2,3/4")).kind is Kind.LONELY
+        assert classify(P("1/2,4/3")) is None
+        assert classify(P("1,2,3/4")) is None
 
     def test_rejects_crossing(self):
         with pytest.raises(ValueError):
             classify(Partition(4, [[1, 3], [2, 4]]))
 
-    def test_a_classification_is_its_witness(self):
-        lonely = Classification()
-        assert lonely.is_lonely and lonely.kind is Kind.LONELY and lonely.witness is None
-        married = Classification((2, 3))
-        assert not married.is_lonely and married.kind is Kind.MARRIAGEABLE and married.witness == (2, 3)
-        assert married == Classification((2, 3)) and hash(married) == hash(Classification((2, 3)))
-        assert married != Classification((2, 4)) and married != lonely
-        # the kind is read off the witness, never stored beside it
-        assert [f.name for f in fields(Classification)] == ["witness"]
-
     def test_region_examples(self):
         assert classify(P("1,4/2/3")) == classify_definitional(P("1,4/2/3"))
-        assert classify(P("1,4/2/3")).witness == (2, 3)
-        assert classify(P("1,3/2/4")).kind is Kind.LONELY
-        assert classify(P("1/2")).witness == (1, 2)
+        assert classify(P("1,4/2/3")) == (2, 3)
+        assert classify(P("1,3/2/4")) is None
+        assert classify(P("1/2")) == (1, 2)
 
     def test_fewer_than_two_singletons_is_lonely(self, nc_lists):
         for p in nc_lists(5):
             if len(p.singletons) < 2:
-                assert classify(p).kind is Kind.LONELY
+                assert classify(p) is None
 
     def test_agrees_with_definitional(self, nc_lists):
         for n in range(0, 9):
             for p in nc_lists(n):
-                c = classify(p)
-                assert c == classify_definitional(p), p
-                if c.witness is not None:
-                    assert can_merge(p, *c.witness)
+                witness = classify(p)
+                assert witness == classify_definitional(p), p
+                if witness is not None:
+                    assert can_merge(p, *witness)
 
 
 class TestMaps:
     def lonely(self, nc_lists, n):
-        return [p for p in nc_lists(n) if classify(p).is_lonely]
+        return [p for p in nc_lists(n) if classify(p) is None]
 
     def marriageable(self, nc_lists, n):
-        return [p for p in nc_lists(n) if not classify(p).is_lonely]
+        return [p for p in nc_lists(n) if not classify(p) is None]
 
     def test_grow_lonely_examples(self):
         assert grow_lonely(P("1,2/3")) == P("1,2,4/3")
@@ -274,16 +271,22 @@ class TestMaps:
         with pytest.raises(ValueError):
             add_singleton_pair(Partition(4, [[1, 3], [2, 4]]))
 
+    @pytest.mark.parametrize("fn, p, message", REFUSALS, ids=[fn.__name__ for fn, _, _ in REFUSALS])
+    def test_refusal_messages(self, fn, p, message):
+        with pytest.raises(ValueError) as refused:
+            fn(p)
+        assert str(refused.value) == message
+
     def test_grow_lonely_injective_into_lonely(self, nc_lists):
         for n in range(0, 7):
             dom = self.lonely(nc_lists, n)
             images = [grow_lonely(p) for p in dom]
             assert len(set(images)) == len(dom)
             for q in images:
-                assert classify(q).is_lonely
+                assert classify(q) is None
             if n >= 2:
                 outside = Partition(n + 1, [list(range(1, n + 1)), [n + 1]])
-                assert classify(outside).is_lonely
+                assert classify(outside) is None
                 assert outside not in set(images)
 
     def test_grow_marriageable_injective_into_marriageable(self, nc_lists):
@@ -292,12 +295,12 @@ class TestMaps:
             images = [grow_marriageable(p) for p in dom]
             assert len(set(images)) == len(dom)
             for q in images:
-                assert not classify(q).is_lonely
+                assert classify(q) is not None
             if n >= 3:
                 outside = Partition(
                     n + 1, [[x] for x in range(1, n)] + [[n, n + 1]]
                 )
-                assert not classify(outside).is_lonely
+                assert classify(outside) is not None
                 assert outside not in set(images)
 
     def test_pair_maps_disjoint_marriageable_images(self, nc_lists):
@@ -311,7 +314,7 @@ class TestMaps:
             assert len(i_img) == len(j_img) == len(k_img) == len(marr)
             for img in (h_img, i_img, j_img, k_img):
                 for q in img:
-                    assert not classify(q).is_lonely
+                    assert classify(q) is not None
             for a, b in combinations((h_img, i_img, j_img, k_img), 2):
                 assert not (a & b)
 
