@@ -6,14 +6,18 @@ import importlib
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tokenize
 import types
 from pathlib import Path
 
+from click.testing import CliRunner
+
 import crossroads
 import crossroads.routes
+from crossroads.cli import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -244,3 +248,39 @@ def test_readme_library_example_runs():
         else:
             exec(compile(ast.Module([statement], type_ignores=[]), "README.md", "exec"), namespace)
     assert wrong == [] and checked >= 3
+
+
+def test_readme_transcripts_and_values_are_the_code_output():
+    """The Quick start transcripts, the recomputed-values table, its published line and the verify sentence hold.
+
+    Each ``$ crossroads ARGS`` line runs in-process and must print, byte for
+    byte, the lines after it up to the next blank line or the block's end.
+    """
+    readme = (ROOT / "README.md").read_text()
+    wrong = []
+    (block,) = re.findall(r"## Quick start\n\n```\n(.*?)```", readme, re.S)
+    transcripts = [chunk.strip("\n").split("\n") for chunk in block.split("\n\n")]
+    for command, *lines in transcripts:
+        args = shlex.split(command.removeprefix("$ crossroads "))
+        result = CliRunner().invoke(cli, args)
+        if (result.exit_code, result.stdout) != (0, "".join(line + "\n" for line in lines)):
+            wrong.append(f"{command} exits {result.exit_code} and prints {result.stdout!r}")
+
+    rows = [tuple(map(int, row)) for row in re.findall(r"^\| (\d+) \| (\d+) \| (\d+) \| (\d+) \|$", readme, re.M)]
+    tallies = crossroads.tally_range(14)
+    computed = [(n, tallies[n].lonely, tallies[n].marriageable, tallies[n].total) for n in range(10, 15)]
+    if rows != computed:
+        wrong.append(f"the values table is {rows}, the recurrence gives {computed}")
+    (published,) = re.findall(r"\(published: (.*?) respectively", readme, re.S)
+    pairs = [tuple(map(int, pair.split("/"))) for pair in re.split(r",\s+", published)]
+    # "totals agree throughout": each published row adds up to the recomputed total
+    said = [(*pair, tallies[n].total) for n, pair in zip(range(10, 15), pairs)]
+    if len(pairs) != 5 or said != [crossroads.published_row(n) for n in range(10, 15)]:
+        wrong.append(f"the published line says {pairs}")
+
+    ((ok, max_n, beyond),) = re.findall(r"`verify` exits (\d+) for `--max-n (\d+)` and exits (\d+) ", readme)
+    for n, code in ((int(max_n), int(ok)), (int(max_n) + 1, int(beyond))):
+        result = CliRunner().invoke(cli, ["verify", "--max-n", str(n)])
+        if result.exit_code != code:
+            wrong.append(f"verify --max-n {n} exits {result.exit_code}, the README says {code}")
+    assert len(transcripts) == 5 and wrong == []
