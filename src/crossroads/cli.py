@@ -207,7 +207,7 @@ TABLE_CSV_HEADER = tuple(f.name for f in fields(SequenceRow))
 def table(max_n: int, fmt: str, output: "str | None"):
     """Counts and ratio columns for every n up to --max-n."""
     _render(
-        output, fmt, TABLE_CSV_HEADER, [astuple(r) for r in ratio_report(max_n, tally_range(max_n))],
+        output, fmt, TABLE_CSV_HEADER, [astuple(r) for r in ratio_report(tally_range(max_n))],
         width=12, document=list,
     )
 
@@ -329,7 +329,7 @@ def conjectures(max_n: int, fmt: str, output: "str | None"):
         [
             (r.n, r.ratio_l, r.ratio_m, r.m_over_l, r.m_over_c,
              two_digits(r.lonely, r.catalan), r.marriageable > r.lonely)
-            for r in ratio_report(max_n, tally_range(max_n))
+            for r in ratio_report(tally_range(max_n))
         ],
         width=10, document=list,
     )

@@ -1,9 +1,10 @@
 """Closed forms, bounds, and the ratio report.
 
 Exact integer formulas for Catalan numbers and for the number of noncrossing
-partitions of [n] with m blocks and no singleton (or exactly one singleton),
-plus two lower bounds for the lonely and marriageable counts, built from the
-Riordan numbers that sum the no-singleton counts over m.
+partitions of [n] with m blocks and k singletons (the paper's no-singleton form
+times the binomial(n, k) places for the singletons), plus two lower bounds for
+the lonely and marriageable counts, built from the Riordan numbers that sum
+the no-singleton counts over m.
 Every division is an exact integer division guarded by an assertion, so a
 transcription slip cannot round its way past the tests.
 """
@@ -41,29 +42,28 @@ about 0.3 s."""
 
 
 def nc_count(n: int, m: int, k: int) -> int:
-    """Noncrossing partitions of [n] with m blocks and k singletons, k in {0, 1}.
+    """Noncrossing partitions of [n] with m blocks and k singletons, for every k.
 
-    Closed forms: for k = 0 the count is binomial(n, m) * binomial(n-m-1, m-1)
+    A singleton crosses nothing, so each such partition is a choice of the k
+    singleton positions and a singleton-free noncrossing partition of the other
+    n-k elements into m-k blocks: the count is binomial(n, k) times the k = 0
+    form at (n-k, m-k). That form is binomial(n, m) * binomial(n-m-1, m-1)
     divided by n-m+1, with the empty partition as the (0, 0) special case.
-    For k = 1 it is binomial(n, m-1) * binomial(n-m-1, m-2), with (1, 1) as
-    the special case. Out-of-support binomials vanish by convention.
+    Out-of-support binomials vanish by convention, so any m or k out of range
+    counts 0.
     """
     check_size(n)
     if type(m) is not int or type(k) is not int:
         raise ValueError("block and singleton counts must be ints")
-    if k not in (0, 1):
-        raise ValueError("closed forms exist for k in {0, 1} only")
-    if k == 0:
-        if n == 0 and m == 0:
-            return 1
-        num = _binom(n, m) * _binom(n - m - 1, m - 1)
-        if num == 0:
-            return 0
-        assert num % (n - m + 1) == 0
-        return num // (n - m + 1)
-    if n == 1 and m == 1:
-        return 1
-    return _binom(n, m - 1) * _binom(n - m - 1, m - 2)
+    ways = _binom(n, k)
+    n, m = n - k, m - k  # the singleton-free rest
+    if ways == 0 or n == m == 0:
+        return ways
+    num = _binom(n, m) * _binom(n - m - 1, m - 1)
+    if num == 0:
+        return 0
+    assert num % (n - m + 1) == 0
+    return ways * (num // (n - m + 1))
 
 
 _RIORDAN = [1, 0]
@@ -153,14 +153,13 @@ class SequenceRow:
     m_over_c: str
 
 
-def ratio_report(max_n: int, tallies: "list[Tally]") -> "list[SequenceRow]":
-    """Build SequenceRows for n = 0..max_n from precomputed tallies."""
-    check_size(max_n)
-    if len(tallies) < max_n + 1 or any(t.n != i for i, t in enumerate(tallies[: max_n + 1])):
-        raise ValueError("tallies must cover n = 0..max_n in order")
+def ratio_report(tallies: "list[Tally]") -> "list[SequenceRow]":
+    """Build one SequenceRow per tally; the tallies cover n = 0, 1, 2, ... in order."""
+    if any(t.n != i for i, t in enumerate(tallies)):
+        raise ValueError("tallies must cover n = 0, 1, 2, ... in order")
     rows = []
     prev = None
-    for t in tallies[: max_n + 1]:
+    for t in tallies:
         ratio_l = ratio_m = None
         if prev is not None:
             if prev.lonely:

@@ -11,8 +11,6 @@ shares no code with the engine result it checks:
   quartic filter, and ``classify_definitional``. Capped by ORACLE_CEILING.
 * ``stream_tally`` (route 2) checks ``tally`` past the oracle's reach, with a
   flags-only walk over the four moves. Capped by STREAM_CEILING.
-* ``nc_count_enumerated`` checks ``nc_count`` by counting the walker's
-  partitions by blocks and singletons. Capped by ORACLE_CEILING.
 * ``is_msl`` checks ``Msl`` and ``is_absolute``: the full lane-set definition,
   maximality included, from pairwise ``lanes_cross`` tests. A lane is an
   (entry, exit) pair, E_entry>X_exit.
@@ -22,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .enumeration import Tally, noncrossing_partitions
+from .enumeration import Tally
 from .formulas import catalan
 from .partitions import Partition, check_size
 
@@ -166,16 +164,6 @@ def stream_tally(n: int) -> Tally:
     if total != expected:
         raise AssertionError(f"stream visited {total} partitions, expected {expected}")
     return Tally(n, lonely, total - lonely, total)
-
-
-def nc_count_enumerated(n: int, m: int, k: int) -> int:
-    """Oracle twin of ``nc_count`` by exhaustive enumeration, any k."""
-    check_size(n, ceiling=ORACLE_CEILING, what="nc_count_enumerated")
-    count = 0
-    for p in noncrossing_partitions(n):
-        if len(p.blocks) == m and len(p.singletons) == k:
-            count += 1
-    return count
 
 
 def _chord(lane: "tuple[int, int]", n: int) -> "list[int]":

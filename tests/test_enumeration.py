@@ -25,7 +25,6 @@ from crossroads import (
     nc_count,
     noncrossing_partitions,
     partition_to_msl,
-    ratio_report,
     tally,
     tally_range,
 )
@@ -36,7 +35,6 @@ from crossroads.routes import (
     STREAM_CEILING,
     all_set_partitions,
     classify_definitional,
-    nc_count_enumerated,
     oracle_tally,
     stream_tally,
 )
@@ -493,11 +491,9 @@ SIZED = [
     _sized(tally_range),
     _sized(catalan),
     _sized(stream_tally),
-    _sized(lambda n: nc_count_enumerated(n, 1, 0), name="nc_count_enumerated"),
     _sized(lambda n: nc_count(n, 1, 0), name="nc_count"),
     _sized(lower_bound_lonely, 2),
     _sized(lower_bound_marriageable, 3),
-    _sized(lambda n: ratio_report(n, tally_range(3)), name="ratio_report"),
     # an unchecked partition, so the size reaches partition_to_msl's own check
     _sized(lambda n: partition_to_msl(Partition._canonical(n, ())), 1, "partition_to_msl"),
     _sized(enumerate_msl, 1),
@@ -529,8 +525,6 @@ def test_negative_size_is_rejected(entry, least, n):
     pytest.param(lambda n: tally(CountJob(n)), "the lonely series", COUNT_CEILING, id="tally"),
     pytest.param(all_set_partitions, "all_set_partitions", ORACLE_CEILING, id="all_set_partitions"),
     pytest.param(stream_tally, "stream_tally", STREAM_CEILING, id="stream_tally"),
-    pytest.param(lambda n: nc_count_enumerated(n, 1, 0), "nc_count_enumerated", ORACLE_CEILING,
-                 id="nc_count_enumerated"),
     pytest.param(enumerate_msl, "enumeration", ENUMERATE_CEILING, id="enumerate_msl"),
     pytest.param(lambda n: _text_rows(n, None), "enumeration", ENUMERATE_CEILING, id="_text_rows"),
     pytest.param(_lane_rows, "enumeration", ENUMERATE_CEILING, id="_lane_rows"),

@@ -1,12 +1,11 @@
 from collections import Counter
 from fractions import Fraction
-from math import floor
+from math import comb, floor
 
 import pytest
 
 from crossroads import (
     COUNT_CEILING,
-    CeilingExceededError,
     SequenceRow,
     Tally,
     catalan,
@@ -19,7 +18,6 @@ from crossroads import (
     two_digits,
 )
 from crossroads import formulas
-from crossroads.routes import nc_count_enumerated
 
 # Values frozen after checking each one against the enumeration oracle
 # (count partitions with at most one singleton, and marriageable partitions
@@ -56,10 +54,6 @@ class TestNcCount:
         assert nc_count(4, 2, 1) == 4
         assert nc_count(5, 2, 1) == 5
 
-    def test_rejects_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            nc_count(4, 2, 2)
-
     def test_rejects_bad_size(self):
         # a negative size, a bool and a float are refused, not counted or met with TypeError
         for n, m, k in ((-1, 0, 0), (True, 1, 1), (2.0, 1, 0)):
@@ -73,30 +67,28 @@ class TestNcCount:
             nc_count(n, m, k)
 
     def test_enumerated_cells(self):
-        assert nc_count_enumerated(4, 3, 2) == 6
-        assert nc_count_enumerated(4, 4, 4) == 1
-        assert nc_count_enumerated(5, 2, 1) == 5
+        # two or more singletons count like any other k
+        assert nc_count(4, 3, 2) == 6
+        assert nc_count(4, 4, 4) == 1
+        assert nc_count(4, 2, 2) == 0
 
-    def test_enumerated_ceiling(self):
-        with pytest.raises(CeilingExceededError):
-            nc_count_enumerated(11, 3, 0)
-
-    def test_closed_form_matches_enumeration(self):
-        for n in range(0, 9):
-            for m in range(0, n + 2):
-                for k in (0, 1):
-                    assert nc_count(n, m, k) == nc_count_enumerated(n, m, k), (
-                        n, m, k,
-                    )
-
-    def test_cells_total_catalan(self, nc_lists):
-        for n in range(0, 8):
-            counter = Counter(
-                (len(p.blocks), len(p.singletons)) for p in nc_lists(n)
-            )
+    def test_closed_form_matches_enumeration(self, nc_lists):
+        # every cell, out-of-range m and k included, against the walker's partitions
+        for n in range(0, 10):
+            counter = Counter((len(p.blocks), len(p.singletons)) for p in nc_lists(n))
             assert sum(counter.values()) == catalan(n)
-            for (m, k), count in counter.items():
-                assert nc_count_enumerated(n, m, k) == count
+            for m in range(-1, n + 2):
+                for k in range(-1, n + 2):
+                    assert nc_count(n, m, k) == counter[m, k], (n, m, k)
+
+    def test_paper_one_singleton_form(self):
+        # the paper's own k = 1 closed form, with a binomial that shares no code with formulas
+        def binom(a, b):
+            return comb(a, b) if 0 <= b <= a else 0
+
+        for n in range(2, 401):
+            for m in range(0, n + 2):
+                assert nc_count(n, m, 1) == binom(n, m - 1) * binom(n - m - 1, m - 2), (n, m)
 
     def test_support_constraint(self):
         for n in range(1, 12):
@@ -201,7 +193,7 @@ class TestTwoDigits:
             return f"{hundredths // 100}.{hundredths % 100:02d}"
 
         tallies = tally_range(2000)
-        rows = ratio_report(2000, tallies)
+        rows = ratio_report(tallies)
         for row, t, prev in zip(rows[1:], tallies[1:], tallies):
             assert (row.ratio_l, row.ratio_m, row.m_over_l, row.m_over_c) == (
                 half_up(t.lonely, prev.lonely),
@@ -221,7 +213,7 @@ class TestTwoDigits:
 class TestRatioReport:
     def test_report_rows(self):
         tallies = tally_range(9)
-        rows = ratio_report(9, tallies)
+        rows = ratio_report(tallies)
         assert rows[9].m_over_l == "1.11"
         assert rows[9].m_over_c == "0.53"
         assert rows[0] == SequenceRow(0, 1, 0, 1, None, None, "0.00", "0.00")
@@ -231,7 +223,7 @@ class TestRatioReport:
         assert rows[3].ratio_m == "1.00"
 
     def test_report_at_14(self):
-        rows = ratio_report(14, tally_range(14))
+        rows = ratio_report(tally_range(14))
         assert rows[14].ratio_l == "3.36"
         assert rows[14].ratio_m == "3.73"
         assert rows[14].m_over_l == "1.99"
@@ -239,13 +231,10 @@ class TestRatioReport:
 
     def test_rejects_incomplete_tallies(self):
         tallies = tally_range(3)
-        with pytest.raises(ValueError):
-            ratio_report(5, tallies)
         shuffled = [tallies[0], tallies[2], tallies[1], tallies[3]]
-        with pytest.raises(ValueError):
-            ratio_report(3, shuffled)
+        for wrong in (shuffled, [tallies[0], tallies[2]], tallies[1:]):
+            with pytest.raises(ValueError, match=r"^tallies must cover n = 0, 1, 2, \.\.\. in order$"):
+                ratio_report(wrong)
 
-    def test_accepts_longer_tallies(self):
-        rows = ratio_report(2, tally_range(5))
-        assert len(rows) == 3
-        assert rows[2] == SequenceRow(2, 1, 1, 2, "1.00", None, "1.00", "0.50")
+    def test_no_tallies_no_rows(self):
+        assert ratio_report([]) == []

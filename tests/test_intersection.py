@@ -26,6 +26,30 @@ CLIQUE_SIZES = range(1, 8)
 """Sizes at which the maximal-clique search over all n*n lanes runs; it grows
 much faster than the bijection image, so it stops at n = 7."""
 
+PERMUTATION = "the exits must be a permutation of 1..n"
+NOT_INTS = "exits must be ints"
+# each refusal of Msl, word for word
+MSL_REFUSALS = [
+    pytest.param((), "an MSL has at least one lane", id="no-lanes"),
+    # an entry is a position in the exits, so none can be reused; lanes given as pairs are refused
+    pytest.param([(1, 1), (1, 2)], NOT_INTS, id="reused-entry"),
+    pytest.param((2, 1, 2), PERMUTATION, id="reused-exit"),
+    # three lanes cover X1..X3, so X3 has no lane when one ends at X4
+    pytest.param((1, 2, 4), PERMUTATION, id="missing-exit"),
+    pytest.param((0, 1), PERMUTATION, id="exit-0"),
+    pytest.param((1, -2), PERMUTATION, id="exit-negative"),
+    pytest.param((2, 3, 1), "lanes cross", id="crossing"),
+    # True == 1, so only the type check tells these exits from (1,) and (1, 2)
+    pytest.param((True,), NOT_INTS, id="bool"),
+    pytest.param((True, 2), NOT_INTS, id="bool-first"),
+    pytest.param((1, True), NOT_INTS, id="bool-last"),
+    # sorting these would raise TypeError
+    pytest.param(("a", 1), NOT_INTS, id="str"),
+    pytest.param((None,), NOT_INTS, id="none"),
+    pytest.param((None, 1), NOT_INTS, id="none-first"),
+    pytest.param((1.0, 2), NOT_INTS, id="float"),
+]
+
 
 def P(text):
     return Partition.from_text(text)
@@ -112,44 +136,11 @@ class TestMslValue:
         with pytest.raises(TypeError):
             Msl(3, [1, 2])
 
-    def test_rejects_reused_entry(self):
-        # an entry is a position in the exits, so none can be reused; lanes given as pairs are refused
-        with pytest.raises(ValueError, match="^exits must be ints$"):
-            Msl([(1, 1), (1, 2)])
-
-    def test_rejects_reused_exit(self):
-        with pytest.raises(ValueError, match="permutation"):
-            Msl((2, 1, 2))
-
-    def test_rejects_missing_exit(self):
-        # three lanes cover X1..X3, so X3 has no lane when one ends at X4
-        with pytest.raises(ValueError, match="permutation"):
-            Msl((1, 2, 4))
-
-    def test_rejects_out_of_range_exit(self):
-        for exits in ((0, 1), (1, -2)):
-            with pytest.raises(ValueError, match="permutation"):
-                Msl(exits)
-
-    def test_rejects_crossing_lanes(self):
-        with pytest.raises(ValueError, match="^lanes cross$"):
-            Msl((2, 3, 1))
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            Msl(())
-
-    def test_rejects_bools(self):
-        # True == 1, so only the type check tells these exits from (1,) and (1, 2)
-        for exits in ((True,), (True, 2), (1, True)):
-            with pytest.raises(ValueError, match="^exits must be ints$"):
-                Msl(exits)
-
-    def test_rejects_non_ints_before_sorting(self):
-        # sorting these would raise TypeError
-        for exits in (("a", 1), (None,), (None, 1), (1.0, 2)):
-            with pytest.raises(ValueError, match="^exits must be ints$"):
-                Msl(exits)
+    @pytest.mark.parametrize("exits, message", MSL_REFUSALS)
+    def test_refusal_messages(self, exits, message):
+        with pytest.raises(ValueError) as refused:
+            Msl(exits)
+        assert str(refused.value) == message
 
     def test_scan_agrees_with_the_definition(self):
         for n in range(1, 8):
