@@ -54,6 +54,17 @@ class TestNcCount:
         assert nc_count(4, 2, 1) == 4
         assert nc_count(5, 2, 1) == 5
 
+    def test_rejects_k_out_of_range(self):
+        # a k no partition has is not refused but counted: none, negative, above n or above m
+        for n, m, k in ((4, 2, 2), (4, 2, -1), (4, 4, 5), (6, 2, 3), (0, 0, 1)):
+            assert nc_count(n, m, k) == 0, (n, m, k)
+
+    def test_cells_total_catalan(self):
+        # the closed form alone, past the walker's reach: its cells sum to C_n
+        for n in range(0, 41):
+            total = sum(nc_count(n, m, k) for m in range(n + 1) for k in range(n + 1))
+            assert total == catalan(n), n
+
     def test_rejects_bad_size(self):
         # a negative size, a bool and a float are refused, not counted or met with TypeError
         for n, m, k in ((-1, 0, 0), (True, 1, 1), (2.0, 1, 0)):
