@@ -11,16 +11,19 @@ MSL is *absolute* when no two of its U-turns can be rewired into the pair
 E_i>X_j, E_j>X_i to yield another MSL. Absolute MSLs correspond exactly to
 the lonely partitions.
 
-One parenthesis scan over the entries, taking E_i and then X_i, decides
-nesting and finds each U-turn's region, the innermost lane around it: ``Msl``
-validation reads the first, :func:`is_absolute` the second, since two U-turns
-can be rewired exactly when they share a region. That scan is the one
-noncrossing check on the lane side: :func:`partition_to_msl` leaves it to
-``Msl``, and :func:`msl_to_partition` builds its canonical partition without
-a second check. The MSLs are streamed as the image of the partition walker
-under the bijection, in the walker's order. The ``intersection`` command
-takes its rows from the walker's state directly (:func:`_lane_rows`), with
-no ``Msl`` and no lane scan: absolute is lonely, which the walker decides.
+The one region scan of both models, ``partitions._u_turn_regions``, over the
+entries taking E_i and then X_i, decides nesting and finds each U-turn's
+region, the innermost lane around it: ``Msl`` validation reads the first,
+:func:`is_absolute` the second, since two U-turns can be rewired exactly
+when they share a region, and ``is_noncrossing``, ``nesting_forest`` and
+``classify`` read them through the bijection ``partitions._exits``. That
+scan is the one noncrossing check on the lane side: :func:`partition_to_msl`
+leaves it to ``Msl``, and :func:`msl_to_partition` builds its canonical
+partition without a second check. The MSLs are streamed as the image of the
+partition walker under the bijection, in the walker's order. The
+``intersection`` command takes its rows from the walker's state directly
+(:func:`_lane_rows`), with no ``Msl`` and no lane scan: absolute is lonely,
+which the walker decides.
 The checked functions above stay the library's lane model.
 """
 from __future__ import annotations
@@ -29,36 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .enumeration import _walk, noncrossing_partitions
-from .partitions import Partition, check_size
-
-
-def _u_turn_regions(exits: "tuple[int, ...]") -> "list[int] | None":
-    """Each U-turn's region in entry order, or None when the chords cross.
-
-    One parenthesis scan over E_1, X_1, ..., E_n, X_n; ``exits`` is a
-    permutation, so nesting is being pairwise noncrossing. The stack holds
-    the open lanes: a lane opened at an entry as its exit j, one opened at
-    exit X_i as -i, and the top level as 0. X_i closes the top lane if that
-    lane is i and otherwise opens -i; an entry whose exit x lies before it
-    must close -x. The chords nest exactly when every close matches and only
-    the top level is left. A U-turn opens and closes at once, so its region
-    is the top of the stack, the id of the innermost lane around it.
-    """
-    open_lanes = [0]
-    regions = []
-    for entry, exit in enumerate(exits, 1):
-        if exit > entry:  # E_entry opens a lane, and X_entry cannot close it: it opens -entry
-            open_lanes.append(exit)
-            open_lanes.append(-entry)
-        elif exit == entry:
-            regions.append(open_lanes[-1])
-        elif open_lanes.pop() != -exit:
-            return None
-        elif open_lanes[-1] == entry:
-            open_lanes.pop()
-        else:
-            open_lanes.append(-entry)
-    return regions if len(open_lanes) == 1 else None
+from .partitions import Partition, _exits, _u_turn_regions, check_size
 
 
 @dataclass(frozen=True)
@@ -99,29 +73,12 @@ class Msl:
         return ",".join(f"E{i}>X{x}" for i, x in enumerate(self.exits, 1))
 
 
-def _exits(n: int, blocks: "Iterable[tuple[int, ...]]") -> "list[int]":
-    """The exit of each entry under the lane bijection, from ascending blocks covering 1..n.
-
-    A block a_1 < ... < a_k contributes the long lane E_{a_1}>X_{a_k} and the
-    return lanes E_{a_{t+1}}>X_{a_t}; a singleton contributes its U-turn.
-    """
-    exits = [0] * n
-    for block in blocks:
-        prev = block[-1]  # the long lane from the least element
-        for entry in block:
-            exits[entry - 1] = prev
-            prev = entry
-    return exits
-
-
 def partition_to_msl(p: Partition) -> Msl:
     """Image of a noncrossing partition under the lane bijection (:func:`_exits`).
 
-    The ``Msl`` scan is the one noncrossing check on the lane side. The exits
-    of any partition of [n] form a permutation whose orbits are its blocks,
-    so distinct partitions give distinct exits; the C_n noncrossing
-    partitions already give all C_n valid MSLs, so the exits of a crossing
-    partition never pass the scan, and its ValueError is re-raised here.
+    The ``Msl`` scan is the one noncrossing check on the lane side, the scan
+    ``is_noncrossing`` runs on the same exits: those of a crossing partition
+    never pass it (see ``is_noncrossing``), and its ValueError is re-raised here.
     ``intersection``'s rows take their exits from the walker through the same
     :func:`_exits`, without an ``Msl``.
     """

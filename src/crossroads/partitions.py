@@ -7,10 +7,12 @@ replacement by the pair block {i, j} leaves the partition noncrossing is a
 *marriageable singles* partition; a noncrossing partition with no such pair
 is a *lonely singles* partition.
 
-The module provides the canonical :class:`Partition` value, one linear scan
-that decides nesting and groups the singletons by region (the noncrossing
-test and the classifier both read it), and six constructive maps that grow
-classified partitions by one or two elements while preserving their class.
+The module provides the canonical :class:`Partition` value, the one region
+scan of both models, :func:`_u_turn_regions` over the exit permutation of
+the lane bijection :func:`_exits`, which ``Msl``, ``is_absolute``,
+:func:`is_noncrossing`, :func:`nesting_forest` and :func:`classify` all
+read, and six constructive maps that grow classified partitions by one or
+two elements while preserving their class.
 The classifier returns the witness, the least mergeable singleton pair, or
 None for a lonely partition: the witness is the whole classification.
 It also holds :func:`check_size`, the one check of a ground-set size that
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class CeilingExceededError(ValueError):
@@ -139,54 +141,80 @@ class Kind(enum.Enum):
     MARRIAGEABLE = "marriageable"
 
 
-def _regions(p: Partition) -> "dict[tuple[int, int] | None, list[int]] | None":
-    """The singletons of ``p`` grouped by region in one scan, or None when ``p`` crosses.
+def _u_turn_regions(exits: "Iterable[int]") -> "list[int] | None":
+    """Each U-turn's region in entry order, or None when the chords cross.
 
-    Walking positions 1..n, the stack holds the region inside each open
-    block, innermost last, as ``(block index, gap index)`` with the gap index
-    counting the block's elements seen so far, above ``None``, the top level.
-    A singleton joins the region on top. A further element of a block must
-    find that block on top; anything else certifies a crossing.
+    One parenthesis scan over E_1, X_1, ..., E_n, X_n; ``exits`` is a
+    permutation, so nesting is being pairwise noncrossing. The stack holds
+    the open lanes: a lane opened at an entry as its exit j, one opened at
+    exit X_i as -i, and the top level as 0. X_i closes the top lane if that
+    lane is i and otherwise opens -i; an entry whose exit x lies before it
+    must close -x. The chords nest exactly when every close matches and only
+    the top level is left. A U-turn opens and closes at once, so its region
+    is the top of the stack, the id of the innermost lane around it.
     """
-    blocks = p.blocks
-    block_of: "list[int | None]" = [None] * (p.n + 1)  # None marks a singleton
-    for b, block in enumerate(blocks):
-        if len(block) > 1:
-            for x in block:
-                block_of[x] = b
-    regions: dict[tuple[int, int] | None, list[int]] = {}
-    stack: "list[tuple[int, int] | None]" = [None]
-    for pos in range(1, p.n + 1):
-        b = block_of[pos]
-        if b is None:
-            regions.setdefault(stack[-1], []).append(pos)
-        elif pos == blocks[b][0]:
-            stack.append((b, 1))
-        elif stack[-1][0] != b:  # b is open, so the top is a block, not None
+    open_lanes = [0]
+    regions = []
+    for entry, exit in enumerate(exits, 1):
+        if exit > entry:  # E_entry opens a lane, and X_entry cannot close it: it opens -entry
+            open_lanes.append(exit)
+            open_lanes.append(-entry)
+        elif exit == entry:
+            regions.append(open_lanes[-1])
+        elif open_lanes.pop() != -exit:
             return None
-        elif pos == blocks[b][-1]:
-            stack.pop()
+        elif open_lanes[-1] == entry:
+            open_lanes.pop()
         else:
-            stack[-1] = (b, stack[-1][1] + 1)
-    return regions
+            open_lanes.append(-entry)
+    return regions if len(open_lanes) == 1 else None
+
+
+def _exits(n: int, blocks: "Iterable[tuple[int, ...]]") -> "list[int]":
+    """The exit of each entry under the lane bijection, from ascending blocks covering 1..n.
+
+    A block a_1 < ... < a_k contributes the long lane E_{a_1}>X_{a_k} and the
+    return lanes E_{a_{t+1}}>X_{a_t}; a singleton contributes its U-turn.
+    """
+    exits = [0] * n
+    for block in blocks:
+        prev = block[-1]  # the long lane from the least element
+        for entry in block:
+            exits[entry - 1] = prev
+            prev = entry
+    return exits
 
 
 def is_noncrossing(p: Partition) -> bool:
-    """Linear-time noncrossing test: the region scan completes."""
-    return _regions(p) is not None
+    """Linear-time noncrossing test: the partition's exits pass the region scan.
 
-
-def nesting_forest(p: Partition) -> "dict[tuple[int, int] | None, tuple[int, ...]]":
-    """Group the singletons of a noncrossing partition by region, in one scan.
-
-    A region is ``(block index, gap index)``, the gap index counting the
-    elements of the enclosing block to the singleton's left, or ``None`` for
-    the top level; see :func:`classify`.
+    Distinct partitions give distinct exits (their orbits are the blocks),
+    and the C_n noncrossing partitions of [n] map onto the C_n nested lane
+    sets, so a crossing partition's exits never pass.
     """
-    regions = _regions(p)
+    return _u_turn_regions(_exits(p.n, p.blocks)) is not None
+
+
+def _singleton_regions(p: Partition) -> "Iterator[tuple[int, int]]":
+    """Each singleton of ``p``, ascending, with its U-turn's region id; ValueError when ``p`` crosses."""
+    regions = _u_turn_regions(_exits(p.n, p.blocks))
     if regions is None:
         raise ValueError("classification requires a noncrossing partition")
-    return {k: tuple(v) for k, v in regions.items()}
+    return zip(p.singletons, regions)
+
+
+def nesting_forest(p: Partition) -> "dict[int | None, tuple[int, ...]]":
+    """Group the singletons of a noncrossing partition by region, in one scan.
+
+    The innermost lane around a singleton's U-turn is a return lane E_b>X_a,
+    a the element before the singleton's gap, so its region id is -a: a
+    region is keyed by that a, or by ``None`` for the top level; see
+    :func:`classify`.
+    """
+    forest: "dict[int | None, list[int]]" = {}
+    for s, r in _singleton_regions(p):
+        forest.setdefault(-r or None, []).append(s)
+    return {k: tuple(v) for k, v in forest.items()}
 
 
 def classify(p: Partition) -> "tuple[int, int] | None":
@@ -196,27 +224,32 @@ def classify(p: Partition) -> "tuple[int, int] | None":
     when no pair of its singletons can be merged, so ``classify(p) is None``
     reads the class. It is found from the singleton regions in linear time.
 
-    A region is the top level or one gap of one block (see
-    :func:`nesting_forest`). Two singletons can be merged into a pair block
-    without creating a crossing exactly when they share a region: any block
-    with an element strictly between the two singletons and another element
-    outside their span would cross the merged pair, and equal regions rule
-    exactly that out. The region is finer than the enclosing block alone,
-    because elements of that block also separate its gaps. So the partition
-    is marriageable exactly when some region holds two or more singletons,
-    and the witness, the lexicographically smallest mergeable pair (i, j),
-    i < j, is the least first two members of such a region. Raises
+    Under the lane bijection a singleton is a U-turn, and merging {i} and
+    {j} is rewiring U-turns i and j into E_i>X_j, E_j>X_i, the lanes of the
+    block {i, j}; so two singletons merge exactly when their U-turns share a
+    region (``intersection.is_absolute``). The singletons come ascending, so
+    the first of a region is its least, and the witness, the least pair
+    (i, j), i < j, is the running minimum of (first, later) pairs. Raises
     ValueError on a crossing partition.
     """
-    pairs = [members[:2] for members in nesting_forest(p).values() if len(members) >= 2]
-    return min(pairs) if pairs else None
+    first: "dict[int, int]" = {}
+    witness = None
+    for s, r in _singleton_regions(p):
+        f = first.setdefault(r, s)
+        if f != s and (witness is None or (f, s) < witness):
+            witness = (f, s)
+    return witness
 
 
 classify_fast = classify  # kept only because bench/tracer.py wraps this name
 
 
 def _require_kind(p: Partition, kind: Kind, who: str) -> None:
-    found = Kind.LONELY if classify(p) is None else Kind.MARRIAGEABLE
+    try:
+        witness = classify(p)
+    except ValueError:
+        raise ValueError(f"{who} requires a noncrossing partition") from None
+    found = Kind.LONELY if witness is None else Kind.MARRIAGEABLE
     if found is not kind:
         raise ValueError(f"{who} requires a {kind.value} partition, got {found.value}")
 

@@ -65,7 +65,7 @@ def test_no_module_imports_routes():
 def test_routes_name_no_engine_scan():
     """The routes recheck the engine, so they call none of its scans, walks or counters."""
     engine = {
-        "is_noncrossing", "_regions", "nesting_forest", "classify", "classify_fast",
+        "is_noncrossing", "_exits", "nesting_forest", "classify", "classify_fast",
         "_u_turn_regions", "is_absolute", "Msl", "_walk", "noncrossing_partitions",
         "classified_stream", "_lonely_numbers", "tally", "tally_range",
     }
@@ -77,10 +77,10 @@ def test_routes_name_no_engine_scan():
 
 def test_definition_route_reaches_no_region_scan(monkeypatch):
     """With the region scan refused, the definition route still answers: it calls the scan nowhere, not even indirectly."""
-    def refuse(p):
+    def refuse(exits):
         raise AssertionError("the region scan was called")
 
-    monkeypatch.setattr(crossroads.partitions, "_regions", refuse)
+    monkeypatch.setattr(crossroads.partitions, "_u_turn_regions", refuse)
     p = crossroads.Partition.from_text("1,4/2/3/5")
     assert crossroads.routes.can_merge(p, 2, 3) and not crossroads.routes.can_merge(p, 3, 5)
     assert crossroads.routes.classify_definitional(p) == (2, 3)
@@ -161,9 +161,13 @@ def test_unchecked_partitions_are_built_in_three_places():
     ]
 
 
-def test_lane_regions_are_scanned_in_two_places():
-    """One lane scan with two readers: ``Msl`` validation reads its verdict, ``is_absolute`` its regions.
+def test_region_scan_has_four_readers():
+    """One region scan for both models, in ``partitions``, and four named readers.
 
+    ``Msl`` validation reads its verdict and ``is_absolute`` its regions on
+    the lane side; ``is_noncrossing`` reads the verdict and
+    ``_singleton_regions`` the regions of a partition's exits, and
+    ``nesting_forest`` and ``classify`` read that helper.
     ``intersection``'s rows build no ``Msl`` and run no lane scan: they read
     ``absolute`` off the walker's witness, so a per-row scan added back
     fails here.
@@ -172,7 +176,15 @@ def test_lane_regions_are_scanned_in_two_places():
         owner for owner, node in _owned_nodes()
         if getattr(node, "id", getattr(node, "attr", None)) == "_u_turn_regions"
     ]
-    assert sorted(found) == ["intersection.Msl.__init__", "intersection.is_absolute"]
+    assert sorted(found) == [
+        "intersection.Msl.__init__", "intersection.is_absolute",
+        "partitions._singleton_regions", "partitions.is_noncrossing",
+    ]
+    defined = [
+        f"{path.stem}.{node.name}" for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in {"_u_turn_regions", "_exits", "_regions"}
+    ]
+    assert sorted(defined) == ["partitions._exits", "partitions._u_turn_regions"]
     # and nothing caches the regions: a lane set is its exit permutation alone
     assert [f.name for f in dataclasses.fields(crossroads.Msl)] == ["exits"]
     assert vars(crossroads.Msl((1,))) == {"exits": (1,)}

@@ -29,6 +29,7 @@ def P(text):
     return Partition.from_text(text)
 
 
+CROSSING = Partition(4, [[1, 3], [2, 4]])
 # each constructive map's refusal, word for word: the class words pin the
 # direction of the witness-to-Kind test in _require_kind
 REFUSALS = [
@@ -37,15 +38,21 @@ REFUSALS = [
     (add_pair_block, P("1,2"), "add_pair_block requires a marriageable partition, got lonely"),
     (absorb_into_first, P("1,2"), "absorb_into_first requires a marriageable partition, got lonely"),
     (absorb_into_last, P("1/2,3"), "absorb_into_last requires a marriageable partition, got lonely"),
-    (add_singleton_pair, Partition(4, [[1, 3], [2, 4]]), "add_singleton_pair requires a noncrossing partition"),
+    (add_singleton_pair, CROSSING, "add_singleton_pair requires a noncrossing partition"),
     (grow_marriageable, P("1,2,3/4"), "grow_marriageable requires a marriageable partition, got lonely"),
     (add_pair_block, P("1,2,3/4"), "add_pair_block requires a marriageable partition, got lonely"),
     (absorb_into_first, P("1,2,3/4"), "absorb_into_first requires a marriageable partition, got lonely"),
     (absorb_into_last, P("1,2,3/4"), "absorb_into_last requires a marriageable partition, got lonely"),
+    (grow_lonely, CROSSING, "grow_lonely requires a noncrossing partition"),
+    (grow_marriageable, CROSSING, "grow_marriageable requires a noncrossing partition"),
+    (add_pair_block, CROSSING, "add_pair_block requires a noncrossing partition"),
+    (absorb_into_first, CROSSING, "absorb_into_first requires a noncrossing partition"),
+    (absorb_into_last, CROSSING, "absorb_into_last requires a noncrossing partition"),
 ]
-# each case is named by its map, and a map's later cases also by their input's size
+# each case is named by its map, and a map's later cases also by their input's
+# size, or as crossing
 REFUSAL_IDS = [
-    fn.__name__ + (f"-n{p.n}" if fn in [f for f, _, _ in REFUSALS[:i]] else "")
+    fn.__name__ + (("-crossing" if p is CROSSING else f"-n{p.n}") if fn in [f for f, _, _ in REFUSALS[:i]] else "")
     for i, (fn, p, _) in enumerate(REFUSALS)
 ]
 
@@ -153,10 +160,10 @@ class TestNoncrossing:
 
 class TestNestingForest:
     def test_two_singletons_under_one_block(self):
-        assert nesting_forest(P("1,4/2/3")) == {(0, 1): (2, 3)}
+        assert nesting_forest(P("1,4/2/3")) == {1: (2, 3)}
 
     def test_singletons_in_different_regions(self):
-        assert nesting_forest(P("1,3/2/4")) == {(0, 1): (2,), None: (4,)}
+        assert nesting_forest(P("1,3/2/4")) == {1: (2,), None: (4,)}
 
     def test_single_singleton(self):
         assert nesting_forest(P("1")) == {None: (1,)}
@@ -164,11 +171,26 @@ class TestNestingForest:
     def test_gaps_of_one_block_are_distinct_regions(self):
         # 2 and 4 share the innermost enclosing block {1,3,5} but sit in
         # different gaps of it, so they must not share a region
-        assert nesting_forest(P("1,3,5/2/4")) == {(0, 1): (2,), (0, 2): (4,)}
+        assert nesting_forest(P("1,3,5/2/4")) == {1: (2,), 3: (4,)}
 
     def test_rejects_crossing(self):
         with pytest.raises(ValueError):
             nesting_forest(Partition(4, [[1, 3], [2, 4]]))
+
+    def test_regions_are_the_merge_rule_on_every_pair(self, nc_lists):
+        """Every pair, not only the witness: two singletons share a region exactly when they merge.
+
+        And each singleton s is keyed by the greatest a < s whose block has
+        an element above s, or None when there is none.
+        """
+        for n in range(0, 10):
+            for p in nc_lists(n):
+                region = {s: key for key, members in nesting_forest(p).items() for s in members}
+                last = {x: b[-1] for b in p.blocks for x in b}
+                for s in region:
+                    assert region[s] == max((a for a in range(1, s) if last[a] > s), default=None), (p, s)
+                for i, j in combinations(p.singletons, 2):
+                    assert (region[i] == region[j]) == can_merge(p, i, j), (p, i, j)
 
     def test_every_singleton_in_exactly_one_region(self, nc_lists):
         for n in range(0, 8):
