@@ -56,12 +56,12 @@ def _cell(value, words=("false", "true")) -> str:
 
 
 def _json_cell(value) -> str:
-    """One json cell: None and the bools by identity, as :func:`_cell` finds them, the rest by ``_encode``."""
+    """One json cell: None and the bools by identity, as :func:`_cell` finds them, the rest by ``_encode`` after :func:`_jnum`."""
     if value is None:
         return "null"
     if value is True or value is False:
         return ("false", "true")[value]
-    return _encode(value)
+    return _encode(_jnum(value))
 
 
 CHUNK_LINES = 512
@@ -108,8 +108,8 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
     csv: a header, then a line per row, each ending in "\\n"; None is empty,
     bools are true/false, partition and lanes are quoted.
     json: ``document(records)`` as one line, each record ``dict(zip(columns,
-    row))`` with large integers as strings (:func:`_jnum`); without
-    ``document``, one object per row and line, encoded cells in one template.
+    row))``; without ``document``, one object per row and line, encoded cells
+    in one template. Both write integers past 2^53 - 1 as strings (:func:`_jnum`).
     csv and json lines are filled by :func:`_filled`; the cells of
     :data:`_TEXT_COLUMNS` take no Python call.
     text: with ``width``, a header and the cells right-aligned to it, bools as
@@ -174,8 +174,8 @@ class _Group(click.Group):
 
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
                              default="text", show_default=True, help="Output format.")
-output_option = click.option("--output", type=click.Path(writable=True), default=None,
-                             help="Write to a file.")
+# no parse-time check: the open in _lines decides, and exits 1 through _Group.invoke
+output_option = click.option("--output", metavar="PATH", default=None, help="Write to a file.")
 
 
 @click.group(cls=_Group)
@@ -193,7 +193,6 @@ def count(n: int, fmt: str, output: "str | None"):
     _render(
         output, fmt, ("n", "lonely", "marriageable", "total"), [astuple(tally(CountJob(n)))],
         line="n={}: lonely={} marriageable={} total={}".format,
-        document=lambda records: records[0],
     )
 
 

@@ -153,31 +153,25 @@ class SequenceRow:
     m_over_c: str
 
 
+def _ratio(num: int, den: "int | None") -> "str | None":
+    """A ratio column of :class:`SequenceRow`: ``two_digits(num, den)``, None without a denominator."""
+    return two_digits(num, den) if den else None
+
+
 def ratio_report(tallies: "list[Tally]") -> "list[SequenceRow]":
     """Build one SequenceRow per tally; the tallies cover n = 0, 1, 2, ... in order."""
     if any(t.n != i for i, t in enumerate(tallies)):
         raise ValueError("tallies must cover n = 0, 1, 2, ... in order")
-    rows = []
-    prev = None
-    for t in tallies:
-        ratio_l = ratio_m = None
-        if prev is not None:
-            if prev.lonely:
-                ratio_l = two_digits(t.lonely, prev.lonely)
-            if prev.marriageable:
-                ratio_m = two_digits(t.marriageable, prev.marriageable)
-        m_over_l = two_digits(t.marriageable, t.lonely) if t.lonely else None
-        rows.append(
-            SequenceRow(
-                n=t.n,
-                lonely=t.lonely,
-                marriageable=t.marriageable,
-                catalan=t.total,
-                ratio_l=ratio_l,
-                ratio_m=ratio_m,
-                m_over_l=m_over_l,
-                m_over_c=two_digits(t.marriageable, t.total),
-            )
+    return [
+        SequenceRow(
+            n=t.n,
+            lonely=t.lonely,
+            marriageable=t.marriageable,
+            catalan=t.total,
+            ratio_l=_ratio(t.lonely, prev and prev.lonely),
+            ratio_m=_ratio(t.marriageable, prev and prev.marriageable),
+            m_over_l=_ratio(t.marriageable, t.lonely),
+            m_over_c=two_digits(t.marriageable, t.total),
         )
-        prev = t
-    return rows
+        for prev, t in zip([None, *tallies], tallies)
+    ]

@@ -15,7 +15,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossroads import COUNT_CEILING, ENUMERATE_CEILING, catalan, classified_stream
+from crossroads import (COUNT_CEILING, ENUMERATE_CEILING, catalan, classified_stream, lower_bound_lonely,
+                         published_row)
 from crossroads.cli import CHUNK_LINES, USAGE_EXIT, _render, cli
 
 
@@ -135,6 +136,10 @@ class TestVerify:
         assert result.exit_code == 65
         assert result.stdout == ""
         assert result.stderr == "error: the published table is capped at n=14, got 15\n"
+
+    def test_no_published_row_past_the_table(self):
+        with pytest.raises(ValueError, match=r"^no published values for n=15$"):
+            published_row(15)
 
     def test_csv_bytes(self, runner):
         result = runner.invoke(cli, ["verify", "--max-n", "3", "--format", "csv"])
@@ -270,6 +275,18 @@ class TestBounds:
             b"two_step,1,1,1,true\n"
             b"two_step,2,5,5,true\n"
         )
+
+
+    def test_a_violated_bound_exits_2(self, runner, monkeypatch):
+        # the bounds are proved, so one is made to overshoot the lonely count at n = 5
+        monkeypatch.setattr("crossroads.cli.lower_bound_lonely", lambda n: lower_bound_lonely(n) + 1000 * (n == 5))
+        result = runner.invoke(cli, ["bounds", "--max-n", "6"])
+        assert result.exit_code == 2
+        assert [l for l in result.output.splitlines() if "VIOLATED" in l] == ["lonely_bound n=5: 1021 <= 26 VIOLATED"]
+        assert result.output.endswith(" checks, 1 violations\n")
+        result = runner.invoke(cli, ["bounds", "--max-n", "6", "--format", "json"])
+        assert result.exit_code == 2
+        assert '"all_hold":false' in result.output
 
 
 class TestConjectures:
@@ -414,6 +431,16 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert result.output.startswith("error:")
         assert "Traceback" not in result.output
+
+    def test_output_path_is_judged_by_opening_it(self, runner, tmp_path, monkeypatch):
+        # a refusing os.access is how a non-root user's read-only or write-only
+        # file looks; only the open decides, and here it succeeds
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        result = runner.invoke(cli, ["count", "--n", "3", "--output", str(target)])
+        assert result.exit_code == 0, result.output
+        assert target.read_text() == "n=3: lonely=4 marriageable=1 total=5\n"
 
     def test_empty_output_path(self, runner):
         # an empty path is a path that cannot be opened, not a request for stdout
@@ -568,17 +595,21 @@ class TestGoldenBytes:
 
 class TestRenderCells:
     COLUMNS = ("n", "match", "partition", "class")
-    ROWS = [(None, True, "1,2/3", "lonely"), (12, False, "", "marriageable"), (0, 1, "1", "lonely")]
+    ROWS = [(None, True, "1,2/3", "lonely"), (12, False, "", "marriageable"), (0, 1, "1", "lonely"),
+            (2**53, False, "1/2", "lonely")]
 
     @pytest.mark.parametrize("fmt, expected", [
-        ("csv", 'n,match,partition,class\n,true,"1,2/3",lonely\n12,false,"",marriageable\n0,1,"1",lonely\n'),
+        ("csv", 'n,match,partition,class\n,true,"1,2/3",lonely\n12,false,"",marriageable\n0,1,"1",lonely\n'
+                '9007199254740992,false,"1/2",lonely\n'),
         ("json", '{"n":null,"match":true,"partition":"1,2/3","class":"lonely"}\n'
                  '{"n":12,"match":false,"partition":"","class":"marriageable"}\n'
-                 '{"n":0,"match":1,"partition":"1","class":"lonely"}\n'),
+                 '{"n":0,"match":1,"partition":"1","class":"lonely"}\n'
+                 '{"n":"9007199254740992","match":false,"partition":"1/2","class":"lonely"}\n'),
     ])
     def test_none_bool_and_str_cells(self, capsys, fmt, expected):
         # the text columns skip the per-cell conversion, the others keep it;
-        # the ints 0 and 1 stay ints, not bools
+        # the ints 0 and 1 stay ints, not bools; json lines, like the json
+        # documents, write an int past 2^53 - 1 as a string, csv writes it bare
         _render(None, fmt, self.COLUMNS, iter(self.ROWS))
         assert capsys.readouterr().out == expected
 
