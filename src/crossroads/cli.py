@@ -5,12 +5,14 @@ conjectures, intersection, bfile. Each command hands its rows, tuples in the
 order of its column names, to one renderer, :func:`_render`, which writes text
 by default and json or csv on request (bfile: text only). Reports pass a list,
 enumerate and intersection stream a generator; both are written in chunks.
-Exit codes: 0 success, 1 an output path could not be written, 2 a verification
-or bound check found mismatches, 64 usage errors, 65 a resource or data
-ceiling was exceeded.
+Arguments are parsed by the standard library's ``argparse``, so the package
+needs nothing outside it at run time. Exit codes: 0 success, 1 an output path
+could not be written, 2 a verification or bound check found mismatches, 64
+usage errors, 65 a resource or data ceiling was exceeded.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import itertools
 import json
@@ -20,8 +22,6 @@ from dataclasses import astuple, fields
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-import click
-
 from .enumeration import CountJob, _text_rows, tally, tally_range
 from .formulas import SequenceRow, lower_bound_lonely, lower_bound_marriageable, ratio_report, two_digits
 from .intersection import _lane_rows
@@ -29,8 +29,8 @@ from .partitions import CeilingExceededError, Kind, check_size
 from .reference import MAX_PUBLISHED_N, published_row
 
 USAGE_EXIT = 64
-"""Exit code of a usage error, set by :class:`_Group` on each one it raises or
-passes on; click's own default of 2 stays for other commands in the process."""
+"""Exit code of a usage error, from :meth:`_Parser.error`; other argparse
+parsers in the process keep argparse's own 2."""
 
 def _jnum(value):
     """Integers stay bare JSON integers while exact in doubles, else strings."""
@@ -76,7 +76,7 @@ def _lines(output: "str | None"):
     Each call reaches the file object as it is: on a write-through stdout
     (``python -u``, ``PYTHONUNBUFFERED=1``) it is one system call, which is
     why :func:`_render` joins its lines into chunks. Stdout is flushed once
-    at the end, still inside the command, so that :class:`_Group` sees a
+    at the end, still inside the command, so that :func:`main` sees a
     broken pipe.
     """
     if output is not None:
@@ -139,55 +139,61 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
             put("".join(chunk))
 
 
-class _Group(click.Group):
-    """The command group, where errors from every command become exit codes.
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit :data:`USAGE_EXIT` in place of argparse's 2.
 
-    Usage errors come from parsing the group's own arguments
-    (:meth:`make_context`) or from resolving and parsing a subcommand
-    (:meth:`invoke`); both stamp :data:`USAGE_EXIT` on the error itself.
+    It takes no abbreviated option, shows its description as written, and
+    has ``--help`` alone for help.
     """
 
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as exc:
-            exc.exit_code = USAGE_EXIT
-            raise
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, add_help=False,
+                         formatter_class=argparse.RawDescriptionHelpFormatter, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            exc.exit_code = USAGE_EXIT
-            raise
-        except CeilingExceededError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(65)
-        except BrokenPipeError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            sys.exit(1)
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-format_option = click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
-                             default="text", show_default=True, help="Output format.")
-# no parse-time check: the open in _lines decides, and exits 1 through _Group.invoke
-output_option = click.option("--output", metavar="PATH", default=None, help="Write to a file.")
+def _size(flag: str, minimum: int = 0):
+    """A required option ``flag`` taking a decimal integer of at least ``minimum``."""
+    def size(text: str) -> int:
+        if (value := int(text)) < minimum:
+            raise argparse.ArgumentTypeError(f"{text} is not in the range x>={minimum}")
+        return value
+    return flag, dict(type=size, required=True, metavar="N", help=f"An integer, at least {minimum}.")
 
 
-@click.group(cls=_Group)
-def cli():
-    """Count and classify noncrossing partitions into lonely and marriageable
-    singles, and explore the equivalent road-intersection lane model."""
+parser = _Parser(prog="crossroads", description=(
+    "Count and classify noncrossing partitions into lonely and marriageable\n"
+    "singles, and explore the equivalent road-intersection lane model."))
+subcommands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+N, MAX_N = _size("--n"), _size("--max-n")
+FORMAT = ("--format", dict(dest="fmt", choices=["text", "json", "csv"], default="text",
+                           help="Output format (default: %(default)s)."))
+# no parse-time check: the open in _lines decides, and exits 1 through main
+OUTPUT = ("--output", dict(metavar="PATH", help="Write to a file."))
 
 
-@cli.command()
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@format_option
-@output_option
+def _command(*options, name=None):
+    """Register the decorated function as subcommand ``name`` (default its own name) taking ``options``.
+
+    Its docstring is the subcommand's --help text, and its first line the
+    summary in the root --help.
+    """
+    def register(func):
+        doc = "\n".join(line.strip() for line in func.__doc__.splitlines())
+        sub = subcommands.add_parser(name or func.__name__, help=doc.split("\n")[0], description=doc)
+        for flag, settings in options:
+            sub.add_argument(flag, **settings)
+        sub.set_defaults(run=func)
+        return func
+    return register
+
+
+@_command(N, FORMAT, OUTPUT)
 def count(n: int, fmt: str, output: "str | None"):
     """Tally the partitions of one ground-set size."""
     _render(
@@ -199,10 +205,7 @@ def count(n: int, fmt: str, output: "str | None"):
 TABLE_CSV_HEADER = tuple(f.name for f in fields(SequenceRow))
 
 
-@cli.command()
-@click.option("--max-n", type=click.IntRange(min=0), required=True)
-@format_option
-@output_option
+@_command(MAX_N, FORMAT, OUTPUT)
 def table(max_n: int, fmt: str, output: "str | None"):
     """Counts and ratio columns for every n up to --max-n."""
     _render(
@@ -228,10 +231,7 @@ def _verify_document(records: list) -> dict:
     return {"all_match": all(r["match"] for r in records), "rows": rows}
 
 
-@cli.command()
-@click.option("--max-n", type=click.IntRange(min=0), required=True)
-@format_option
-@output_option
+@_command(MAX_N, FORMAT, OUTPUT)
 def verify(max_n: int, fmt: str, output: "str | None"):
     """Recompute tallies and compare against the published reference rows.
 
@@ -255,12 +255,8 @@ def verify(max_n: int, fmt: str, output: "str | None"):
         sys.exit(2)
 
 
-@cli.command(name="enumerate")
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--class", "wanted", type=click.Choice([k.value for k in Kind]), default=None,
-              help="Stream only one class.")
-@format_option
-@output_option
+@_command(N, ("--class", dict(dest="wanted", choices=[k.value for k in Kind], help="Stream only one class.")),
+          FORMAT, OUTPUT, name="enumerate")
 def enumerate_cmd(n: int, wanted: "str | None", fmt: str, output: "str | None"):
     """Stream noncrossing partitions in text form, optionally filtered.
 
@@ -276,10 +272,7 @@ def enumerate_cmd(n: int, wanted: "str | None", fmt: str, output: "str | None"):
     )
 
 
-@cli.command()
-@click.option("--max-n", type=click.IntRange(min=0), required=True)
-@format_option
-@output_option
+@_command(MAX_N, FORMAT, OUTPUT)
 def bounds(max_n: int, fmt: str, output: "str | None"):
     """Evaluate the proved lower bounds and the two-step inequality.
 
@@ -312,10 +305,7 @@ def bounds(max_n: int, fmt: str, output: "str | None"):
 CONJECTURE_CSV_HEADER = ["n", "ratio_l", "ratio_m", "m_over_l", "m_over_c", "l_over_c", "m_gt_l"]
 
 
-@cli.command()
-@click.option("--max-n", type=click.IntRange(min=0), required=True)
-@format_option
-@output_option
+@_command(MAX_N, FORMAT, OUTPUT)
 def conjectures(max_n: int, fmt: str, output: "str | None"):
     """Per-n quantities behind the five conjectured limits.
 
@@ -334,10 +324,7 @@ def conjectures(max_n: int, fmt: str, output: "str | None"):
     )
 
 
-@cli.command()
-@click.option("--n", type=click.IntRange(min=1), required=True)
-@format_option
-@output_option
+@_command(_size("--n", 1), FORMAT, OUTPUT)
 def intersection(n: int, fmt: str, output: "str | None"):
     """Stream every maximal lane set with its absoluteness flag.
 
@@ -354,11 +341,8 @@ def intersection(n: int, fmt: str, output: "str | None"):
     )
 
 
-@cli.command()
-@click.option("--seq", type=click.Choice(["L", "M"]), required=True,
-              help="L for the lonely sequence, M for the marriageable one.")
-@click.option("--max-n", type=click.IntRange(min=0), required=True)
-@output_option
+@_command(("--seq", dict(choices=["L", "M"], required=True,
+                         help="L for the lonely sequence, M for the marriageable one.")), MAX_N, OUTPUT)
 def bfile(seq: str, max_n: int, output: "str | None"):
     """Write the sequence in OEIS b-file form, one "n a(n)" pair per line."""
     _render(
@@ -368,8 +352,21 @@ def bfile(seq: str, max_n: int, output: "str | None"):
     )
 
 
-def main():
-    cli()
+def main(argv: "list[str] | None" = None) -> None:
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names; its errors exit as the module docstring says."""
+    args = vars(parser.parse_args(argv))
+    try:
+        args.pop("run")(**args)
+    except CeilingExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(65)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -31,8 +31,6 @@ import time
 from collections import Counter
 from itertools import combinations, zip_longest
 
-from click.testing import CliRunner
-
 from crossroads import (
     CountJob,
     Tally,
@@ -57,7 +55,6 @@ from crossroads import (
     tally,
     tally_range,
 )
-from crossroads.cli import cli
 from crossroads.routes import classify_definitional, oracle_tally, stream_tally
 
 # Ratio cells of the published table that are printed with exactly two
@@ -107,7 +104,7 @@ def report(number, title, ok, detail):
     assert ok, f"criterion {number} ({title}): {detail}"
 
 
-def test_criterion_1_table_reproduction():
+def test_criterion_1_table_reproduction(invoke):
     expected = []
     for n in range(13):
         pl, pm, pc = published_row(n)
@@ -122,7 +119,7 @@ def test_criterion_1_table_reproduction():
             expected.append(f"n={n}: ok lonely={pl} marriageable={pm} total={pc}")
     expected.append("13 rows compared, 3 mismatches")
     started = time.monotonic()
-    result = CliRunner().invoke(cli, ["verify", "--max-n", "12"])
+    result = invoke(["verify", "--max-n", "12"])
     elapsed = time.monotonic() - started
     lines = result.output.splitlines()
     wrong = [

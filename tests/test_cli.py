@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -9,76 +11,67 @@ import sys
 import time
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossroads import (COUNT_CEILING, ENUMERATE_CEILING, catalan, classified_stream, lower_bound_lonely,
                          published_row)
-from crossroads.cli import CHUNK_LINES, USAGE_EXIT, _render, cli
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from crossroads.cli import CHUNK_LINES, USAGE_EXIT, _render, subcommands
 
 
 class TestCount:
-    def test_json_golden(self, runner):
-        result = runner.invoke(cli, ["count", "--n", "4", "--format", "json"])
+    def test_json_golden(self, invoke):
+        result = invoke(["count", "--n", "4", "--format", "json"])
         assert result.exit_code == 0
         assert result.output.strip() == '{"n":4,"lonely":9,"marriageable":5,"total":14}'
 
-    def test_text(self, runner):
-        result = runner.invoke(cli, ["count", "--n", "8"])
+    def test_text(self, invoke):
+        result = invoke(["count", "--n", "8"])
         assert result.exit_code == 0
         assert result.output.strip() == "n=8: lonely=725 marriageable=705 total=1430"
 
-    def test_csv(self, runner):
-        result = runner.invoke(cli, ["count", "--n", "4", "--format", "csv"])
+    def test_csv(self, invoke):
+        result = invoke(["count", "--n", "4", "--format", "csv"])
         assert result.output.splitlines() == [
             "n,lonely,marriageable,total",
             "4,9,5,14",
         ]
 
-    def test_json_round_trip(self, runner):
-        result = runner.invoke(cli, ["count", "--n", "10", "--format", "json"])
+    def test_json_round_trip(self, invoke):
+        result = invoke(["count", "--n", "10", "--format", "json"])
         data = json.loads(result.output)
         assert data == {"n": 10, "lonely": 7415, "marriageable": 9381, "total": 16796}
 
-    def test_deep_count(self, runner):
-        result = runner.invoke(cli, ["count", "--n", "1000", "--format", "json"])
+    def test_deep_count(self, invoke):
+        result = invoke(["count", "--n", "1000", "--format", "json"])
         assert result.exit_code == 0
         assert json.loads(result.output)["total"] == str(catalan(1000))
 
-    def test_at_the_ceiling_in_seconds(self, runner):
+    def test_at_the_ceiling_in_seconds(self, invoke):
         started = time.monotonic()
-        result = runner.invoke(cli, ["count", "--n", str(COUNT_CEILING), "--format", "json"])
+        result = invoke(["count", "--n", str(COUNT_CEILING), "--format", "json"])
         assert time.monotonic() - started < 5
         assert result.exit_code == 0
         assert json.loads(result.output)["total"] == str(catalan(COUNT_CEILING))
 
-    def test_output_file(self, runner, tmp_path):
+    def test_output_file(self, invoke, tmp_path):
         target = tmp_path / "count.json"
-        result = runner.invoke(
-            cli, ["count", "--n", "4", "--format", "json", "--output", str(target)]
-        )
+        result = invoke(["count", "--n", "4", "--format", "json", "--output", str(target)])
         assert result.exit_code == 0
         assert target.read_text().strip() == '{"n":4,"lonely":9,"marriageable":5,"total":14}'
 
 
 class TestTable:
-    def test_csv_header_and_rows(self, runner):
-        result = runner.invoke(cli, ["table", "--max-n", "4", "--format", "csv"])
+    def test_csv_header_and_rows(self, invoke):
+        result = invoke(["table", "--max-n", "4", "--format", "csv"])
         lines = result.output.splitlines()
         assert lines[0] == "n,lonely,marriageable,catalan,ratio_l,ratio_m,m_over_l,m_over_c"
         assert lines[1] == "0,1,0,1,,,0.00,0.00"
         assert lines[5] == "4,9,5,14,2.25,5.00,0.56,0.36"
 
-    def test_csv_round_trip(self, runner):
-        result = runner.invoke(cli, ["table", "--max-n", "6", "--format", "csv"])
+    def test_csv_round_trip(self, invoke):
+        result = invoke(["table", "--max-n", "6", "--format", "csv"])
         rows = list(csv.DictReader(io.StringIO(result.output)))
         assert len(rows) == 7
         assert int(rows[6]["lonely"]) == 77
@@ -86,44 +79,44 @@ class TestTable:
         assert rows[6]["m_over_c"] == "0.42"
         assert rows[0]["ratio_l"] == ""
 
-    def test_json_values_are_integers(self, runner):
-        result = runner.invoke(cli, ["table", "--max-n", "3", "--format", "json"])
+    def test_json_values_are_integers(self, invoke):
+        result = invoke(["table", "--max-n", "3", "--format", "json"])
         data = json.loads(result.output)
         assert [row["catalan"] for row in data] == [1, 1, 2, 5]
         assert data[3]["ratio_l"] == "4.00"
         assert data[0]["ratio_l"] is None
 
-    def test_text_has_all_rows(self, runner):
-        result = runner.invoke(cli, ["table", "--max-n", "5"])
+    def test_text_has_all_rows(self, invoke):
+        result = invoke(["table", "--max-n", "5"])
         assert len(result.output.splitlines()) == 7
 
-    def test_csv_to_the_ceiling(self, runner):
+    def test_csv_to_the_ceiling(self, invoke):
         # ratio cells past 48 integer digits, from n = 1584 on, once ended in a traceback
-        result = runner.invoke(cli, ["table", "--max-n", "2000", "--format", "csv"])
+        result = invoke(["table", "--max-n", "2000", "--format", "csv"])
         assert result.exit_code == 0
         assert len(result.output.splitlines()) == 2002
 
 
 class TestVerify:
-    def test_trivial_row_matches(self, runner):
-        result = runner.invoke(cli, ["verify", "--max-n", "0"])
+    def test_trivial_row_matches(self, invoke):
+        result = invoke(["verify", "--max-n", "0"])
         assert result.exit_code == 0
         assert "0 mismatches" in result.output
 
-    def test_all_rows_match_up_to_9(self, runner):
-        result = runner.invoke(cli, ["verify", "--max-n", "9"])
+    def test_all_rows_match_up_to_9(self, invoke):
+        result = invoke(["verify", "--max-n", "9"])
         assert result.exit_code == 0
         assert "10 rows compared, 0 mismatches" in result.output
 
-    def test_divergent_rows_reported(self, runner):
-        result = runner.invoke(cli, ["verify", "--max-n", "12"])
+    def test_divergent_rows_reported(self, invoke):
+        result = invoke(["verify", "--max-n", "12"])
         assert result.exit_code == 2
         mismatch_lines = [l for l in result.output.splitlines() if "MISMATCH" in l]
         assert len(mismatch_lines) == 3
         assert any("n=10" in l and "7415" in l and "7401" in l for l in mismatch_lines)
 
-    def test_json_reports_both_value_sets(self, runner):
-        result = runner.invoke(cli, ["verify", "--max-n", "10", "--format", "json"])
+    def test_json_reports_both_value_sets(self, invoke):
+        result = invoke(["verify", "--max-n", "10", "--format", "json"])
         assert result.exit_code == 2
         data = json.loads(result.output)
         assert data["all_match"] is False
@@ -131,8 +124,8 @@ class TestVerify:
         assert row["computed"]["lonely"] == 7415
         assert row["published"]["lonely"] == 7401
 
-    def test_beyond_reference_data(self, runner):
-        result = runner.invoke(cli, ["verify", "--max-n", "15"])
+    def test_beyond_reference_data(self, invoke):
+        result = invoke(["verify", "--max-n", "15"])
         assert result.exit_code == 65
         assert result.stdout == ""
         assert result.stderr == "error: the published table is capped at n=14, got 15\n"
@@ -141,10 +134,10 @@ class TestVerify:
         with pytest.raises(ValueError, match=r"^no published values for n=15$"):
             published_row(15)
 
-    def test_csv_bytes(self, runner):
-        result = runner.invoke(cli, ["verify", "--max-n", "3", "--format", "csv"])
+    def test_csv_bytes(self, invoke):
+        result = invoke(["verify", "--max-n", "3", "--format", "csv"])
         assert result.exit_code == 0
-        assert result.stdout_bytes == (
+        assert result.stdout.encode() == (
             b"n,match,lonely,marriageable,total,published_lonely,published_marriageable,published_total\n"
             b"0,true,1,0,1,1,0,1\n"
             b"1,true,1,0,1,1,0,1\n"
@@ -152,8 +145,8 @@ class TestVerify:
             b"3,true,4,1,5,4,1,5\n"
         )
 
-    def test_csv_reports_both_value_sets(self, runner):
-        result = runner.invoke(cli, ["verify", "--max-n", "10", "--format", "csv"])
+    def test_csv_reports_both_value_sets(self, invoke):
+        result = invoke(["verify", "--max-n", "10", "--format", "csv"])
         assert result.exit_code == 2
         rows = list(csv.DictReader(io.StringIO(result.stdout)))
         assert len(rows) == 11
@@ -164,25 +157,23 @@ class TestVerify:
 
 
 class TestEnumerate:
-    def test_stream_count_is_catalan(self, runner):
-        result = runner.invoke(cli, ["enumerate", "--n", "4"])
+    def test_stream_count_is_catalan(self, invoke):
+        result = invoke(["enumerate", "--n", "4"])
         assert len(result.output.splitlines()) == 14
 
-    def test_lonely_filter(self, runner):
-        result = runner.invoke(cli, ["enumerate", "--n", "4", "--class", "lonely"])
+    def test_lonely_filter(self, invoke):
+        result = invoke(["enumerate", "--n", "4", "--class", "lonely"])
         lines = result.output.splitlines()
         assert len(lines) == 9
         assert "1,2,3,4" in lines
 
-    def test_json_lines(self, runner):
-        result = runner.invoke(
-            cli, ["enumerate", "--n", "3", "--format", "json", "--class", "marriageable"]
-        )
+    def test_json_lines(self, invoke):
+        result = invoke(["enumerate", "--n", "3", "--format", "json", "--class", "marriageable"])
         records = [json.loads(l) for l in result.output.splitlines()]
         assert records == [{"partition": "1/2/3", "class": "marriageable"}]
 
-    def test_csv_stream(self, runner):
-        result = runner.invoke(cli, ["enumerate", "--n", "2", "--format", "csv"])
+    def test_csv_stream(self, invoke):
+        result = invoke(["enumerate", "--n", "2", "--format", "csv"])
         lines = result.output.splitlines()
         assert lines[0] == "partition,class"
         assert '"1,2",lonely' in lines
@@ -203,23 +194,23 @@ class TestEnumerate:
     }
 
     @pytest.mark.parametrize("fmt, wanted", sorted(GOLDEN_N10, key=str))
-    def test_golden_bytes_at_10(self, runner, fmt, wanted):
+    def test_golden_bytes_at_10(self, invoke, fmt, wanted):
         argv = ["enumerate", "--n", "10", "--format", fmt]
         if wanted:
             argv += ["--class", wanted]
-        result = runner.invoke(cli, argv)
+        result = invoke(argv)
         assert result.exit_code == 0
-        assert hashlib.sha256(result.stdout_bytes).hexdigest() == self.GOLDEN_N10[fmt, wanted]
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == self.GOLDEN_N10[fmt, wanted]
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_past_the_ceiling_exits_65_before_writing(self, runner, tmp_path, fmt):
+    def test_past_the_ceiling_exits_65_before_writing(self, invoke, tmp_path, fmt):
         argv = ["enumerate", "--n", str(ENUMERATE_CEILING + 1), "--format", fmt]
-        result = runner.invoke(cli, argv)
+        result = invoke(argv)
         assert result.exit_code == 65
-        assert result.stdout_bytes == b""
+        assert result.stdout == ""
         assert result.stderr.startswith("error:")
         target = tmp_path / "out"
-        assert runner.invoke(cli, argv + ["--output", str(target)]).exit_code == 65
+        assert invoke(argv + ["--output", str(target)]).exit_code == 65
         assert not target.exists()
 
     def test_broken_pipe_exits_1_quietly(self):
@@ -240,31 +231,31 @@ class TestEnumerate:
 
 
 class TestBounds:
-    def test_bounds_hold(self, runner):
-        result = runner.invoke(cli, ["bounds", "--max-n", "10"])
+    def test_bounds_hold(self, invoke):
+        result = invoke(["bounds", "--max-n", "10"])
         assert result.exit_code == 0
         assert "0 violations" in result.output
         assert "lonely_bound n=10: 2923 <= 7415 ok" in result.output
         assert "two_step n=8: 3545 <= 9381 ok" in result.output
 
-    def test_300_in_seconds(self, runner):
+    def test_300_in_seconds(self, invoke):
         started = time.monotonic()
-        result = runner.invoke(cli, ["bounds", "--max-n", "300"])
+        result = invoke(["bounds", "--max-n", "300"])
         assert time.monotonic() - started < 20
         assert result.exit_code == 0
         assert result.output.rstrip().endswith(" 0 violations")
 
-    def test_json_structure(self, runner):
-        result = runner.invoke(cli, ["bounds", "--max-n", "6", "--format", "json"])
+    def test_json_structure(self, invoke):
+        result = invoke(["bounds", "--max-n", "6", "--format", "json"])
         data = json.loads(result.output)
         assert data["all_hold"] is True
         names = {c["check"] for c in data["checks"]}
         assert names == {"lonely_bound", "marriageable_bound", "two_step"}
 
-    def test_csv_bytes(self, runner):
-        result = runner.invoke(cli, ["bounds", "--max-n", "4", "--format", "csv"])
+    def test_csv_bytes(self, invoke):
+        result = invoke(["bounds", "--max-n", "4", "--format", "csv"])
         assert result.exit_code == 0
-        assert result.stdout_bytes == (
+        assert result.stdout.encode() == (
             b"check,n,bound,value,holds\n"
             b"lonely_bound,2,1,1,true\n"
             b"lonely_bound,3,4,4,true\n"
@@ -277,67 +268,67 @@ class TestBounds:
         )
 
 
-    def test_a_violated_bound_exits_2(self, runner, monkeypatch):
+    def test_a_violated_bound_exits_2(self, invoke, monkeypatch):
         # the bounds are proved, so one is made to overshoot the lonely count at n = 5
         monkeypatch.setattr("crossroads.cli.lower_bound_lonely", lambda n: lower_bound_lonely(n) + 1000 * (n == 5))
-        result = runner.invoke(cli, ["bounds", "--max-n", "6"])
+        result = invoke(["bounds", "--max-n", "6"])
         assert result.exit_code == 2
         assert [l for l in result.output.splitlines() if "VIOLATED" in l] == ["lonely_bound n=5: 1021 <= 26 VIOLATED"]
         assert result.output.endswith(" checks, 1 violations\n")
-        result = runner.invoke(cli, ["bounds", "--max-n", "6", "--format", "json"])
+        result = invoke(["bounds", "--max-n", "6", "--format", "json"])
         assert result.exit_code == 2
         assert '"all_hold":false' in result.output
 
 
 class TestConjectures:
-    def test_csv_header_and_cells(self, runner):
-        result = runner.invoke(cli, ["conjectures", "--max-n", "9", "--format", "csv"])
+    def test_csv_header_and_cells(self, invoke):
+        result = invoke(["conjectures", "--max-n", "9", "--format", "csv"])
         lines = result.output.splitlines()
         assert lines[0] == "n,ratio_l,ratio_m,m_over_l,m_over_c,l_over_c,m_gt_l"
         row9 = lines[10].split(",")
         assert row9 == ["9", "3.17", "3.64", "1.11", "0.53", "0.47", "true"]
 
-    def test_m_exceeds_l_from_nine(self, runner):
-        result = runner.invoke(cli, ["conjectures", "--max-n", "10", "--format", "json"])
+    def test_m_exceeds_l_from_nine(self, invoke):
+        result = invoke(["conjectures", "--max-n", "10", "--format", "json"])
         data = json.loads(result.output)
         assert [row["m_gt_l"] for row in data] == [False] * 9 + [True, True]
 
 
 class TestIntersectionCommand:
-    def test_text_stream(self, runner):
-        result = runner.invoke(cli, ["intersection", "--n", "2"])
+    def test_text_stream(self, invoke):
+        result = invoke(["intersection", "--n", "2"])
         assert result.output.splitlines() == [
             "E1>X1,E2>X2 nonabsolute",
             "E1>X2,E2>X1 absolute",
         ]
 
-    def test_json_stream(self, runner):
-        result = runner.invoke(cli, ["intersection", "--n", "4", "--format", "json"])
+    def test_json_stream(self, invoke):
+        result = invoke(["intersection", "--n", "4", "--format", "json"])
         records = [json.loads(l) for l in result.output.splitlines()]
         assert len(records) == 14
         assert sum(1 for r in records if r["absolute"]) == 9
         partitions = {r["partition"] for r in records}
         assert "1,2,3/4" in partitions
 
-    def test_ceiling(self, runner):
-        result = runner.invoke(cli, ["intersection", "--n", str(ENUMERATE_CEILING + 1)])
+    def test_ceiling(self, invoke):
+        result = invoke(["intersection", "--n", str(ENUMERATE_CEILING + 1)])
         assert result.exit_code == 65
         assert result.stderr == "error: enumeration is capped at n=500, got 501\n"
 
-    def test_ceiling_writes_no_csv_header(self, runner, tmp_path):
+    def test_ceiling_writes_no_csv_header(self, invoke, tmp_path):
         argv = ["intersection", "--n", str(ENUMERATE_CEILING + 1), "--format", "csv"]
-        result = runner.invoke(cli, argv)
+        result = invoke(argv)
         assert result.exit_code == 65
-        assert result.stdout_bytes == b""
+        assert result.stdout == ""
         target = tmp_path / "out"
-        assert runner.invoke(cli, argv + ["--output", str(target)]).exit_code == 65
+        assert invoke(argv + ["--output", str(target)]).exit_code == 65
         assert not target.exists()
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_partition_column_is_the_enumerate_stream(self, runner, n):
+    def test_partition_column_is_the_enumerate_stream(self, invoke, n):
         # the lane sets come in the walker's order, so the partitions match enumerate's line for line
         def column(argv, index):
-            result = runner.invoke(cli, argv + ["--n", str(n), "--format", "csv"])
+            result = invoke(argv + ["--n", str(n), "--format", "csv"])
             assert result.exit_code == 0
             return [row[index] for row in csv.reader(io.StringIO(result.output))][1:]
 
@@ -364,95 +355,127 @@ class TestIntersectionCommand:
 
 
 class TestBfile:
-    def test_golden_lines(self, runner):
-        result = runner.invoke(cli, ["bfile", "--seq", "L", "--max-n", "3"])
+    def test_golden_lines(self, invoke):
+        result = invoke(["bfile", "--seq", "L", "--max-n", "3"])
         assert result.output == "0 1\n1 1\n2 1\n3 4\n"
 
-    def test_marriageable_sequence(self, runner):
-        result = runner.invoke(cli, ["bfile", "--seq", "M", "--max-n", "5"])
+    def test_marriageable_sequence(self, invoke):
+        result = invoke(["bfile", "--seq", "M", "--max-n", "5"])
         assert result.output == "0 0\n1 0\n2 1\n3 1\n4 5\n5 16\n"
 
-    def test_output_file(self, runner, tmp_path):
+    def test_output_file(self, invoke, tmp_path):
         target = tmp_path / "b363448.txt"
-        result = runner.invoke(
-            cli, ["bfile", "--seq", "L", "--max-n", "3", "--output", str(target)]
-        )
+        result = invoke(["bfile", "--seq", "L", "--max-n", "3", "--output", str(target)])
         assert result.exit_code == 0
         assert target.read_text() == "0 1\n1 1\n2 1\n3 4\n"
 
 
 class TestExitCodes:
-    def test_unknown_command(self, runner):
-        result = runner.invoke(cli, ["frobnicate"])
+    def test_unknown_command(self, invoke):
+        result = invoke(["frobnicate"])
         assert result.exit_code == 64
 
-    def test_bad_format_value(self, runner):
-        result = runner.invoke(cli, ["count", "--n", "4", "--format", "xml"])
+    def test_bad_format_value(self, invoke):
+        result = invoke(["count", "--n", "4", "--format", "xml"])
         assert result.exit_code == 64
 
-    def test_missing_required_option(self, runner):
-        result = runner.invoke(cli, ["count"])
+    def test_missing_required_option(self, invoke):
+        result = invoke(["count"])
         assert result.exit_code == 64
 
-    def test_negative_n(self, runner):
-        result = runner.invoke(cli, ["count", "--n", "-2"])
+    def test_negative_n(self, invoke):
+        result = invoke(["count", "--n", "-2"])
         assert result.exit_code == 64
 
-    @pytest.mark.parametrize("argv", [[], ["--bogus"], ["count", "--n", "x"], ["enumerate", "--n", "3", "--class", "x"]])
-    def test_group_and_subcommand_usage_errors(self, runner, argv):
-        assert runner.invoke(cli, argv).exit_code == USAGE_EXIT == 64
+    @pytest.mark.parametrize("argv", [
+        [], ["--bogus"], ["count", "--n", "x"], ["enumerate", "--n", "3", "--class", "x"],
+        ["count", "--n", "4", "extra"], ["count", "--n", "-2"], ["count", "--n", "1.0"], ["count", "--n", "0x10"],
+        ["count", "--n", ""], ["count", "--form", "json", "--n", "3"], ["table", "--max", "3"],
+    ])
+    def test_group_and_subcommand_usage_errors(self, invoke, argv):
+        # no abbreviated option is taken, and a usage error writes only to stderr
+        result = invoke(argv)
+        assert result.exit_code == USAGE_EXIT == 64
+        assert result.stdout == "" and "error:" in result.stderr
 
-    def test_usage_exit_stays_inside_the_group(self, runner):
-        # a click command beside crossroads in the same process keeps click's own exit code 2
-        @click.command()
-        @click.option("--n", required=True)
-        def foreign(n):
-            pass
+    def test_option_value_after_equals(self, invoke):
+        result = invoke(["count", "--n=4", "--format=json"])
+        assert (result.exit_code, result.stdout) == (0, '{"n":4,"lonely":9,"marriageable":5,"total":14}\n')
 
-        assert runner.invoke(foreign, []).exit_code == 2
-        assert runner.invoke(cli, ["count"]).exit_code == 64
-        assert runner.invoke(foreign, ["--bogus"]).exit_code == 2
+    OPTIONS = {
+        "count": ["--n", "--format", "--output"],
+        "table": ["--max-n", "--format", "--output"],
+        "verify": ["--max-n", "--format", "--output"],
+        "enumerate": ["--n", "--class", "--format", "--output"],
+        "bounds": ["--max-n", "--format", "--output"],
+        "conjectures": ["--max-n", "--format", "--output"],
+        "intersection": ["--n", "--format", "--output"],
+        "bfile": ["--seq", "--max-n", "--output"],
+    }
 
-    def test_ceiling_exit(self, runner):
-        result = runner.invoke(cli, ["verify", "--max-n", "20"])
+    def test_help_names_every_command_and_option(self, invoke):
+        assert sorted(subcommands.choices) == sorted(self.OPTIONS)
+        root = invoke(["--help"])
+        assert (root.exit_code, root.stderr) == (0, "")
+        assert "Count and classify noncrossing partitions" in root.stdout
+        assert all(name in root.stdout for name in self.OPTIONS)
+        for name, options in self.OPTIONS.items():
+            result = invoke([name, "--help"])
+            assert (result.exit_code, result.stderr) == (0, ""), name
+            summary = subcommands.choices[name].get_default("run").__doc__.splitlines()[0]
+            assert summary in result.stdout.splitlines(), name
+            assert all(option in result.stdout for option in options + ["--help"]), name
+
+    def test_usage_exit_stays_inside_the_group(self, invoke):
+        # a plain argparse parser beside crossroads in the same process keeps argparse's own exit code 2
+        foreign = argparse.ArgumentParser()
+        foreign.add_argument("--n", required=True)
+
+        def foreign_exit(argv):
+            with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+                foreign.parse_args(argv)
+            return exc.value.code
+
+        assert foreign_exit([]) == 2
+        assert invoke(["count"]).exit_code == 64
+        assert foreign_exit(["--bogus"]) == 2
+
+    def test_ceiling_exit(self, invoke):
+        result = invoke(["verify", "--max-n", "20"])
         assert result.exit_code == 65
 
-    def test_count_ceiling_exit(self, runner):
+    def test_count_ceiling_exit(self, invoke):
         for argv in (["count", "--n", "2001"], ["table", "--max-n", "2001"]):
-            result = runner.invoke(cli, argv)
+            result = invoke(argv)
             assert result.exit_code == 65
             assert "capped at n=2000" in result.output
 
-    def test_unwritable_output_path(self, runner, tmp_path):
+    def test_unwritable_output_path(self, invoke, tmp_path):
         target = tmp_path / "no-such-dir" / "out.json"
-        result = runner.invoke(
-            cli, ["count", "--n", "4", "--output", str(target)]
-        )
+        result = invoke(["count", "--n", "4", "--output", str(target)])
         assert result.exit_code == 1
         assert result.output.startswith("error:")
         assert "Traceback" not in result.output
 
-    def test_output_path_is_judged_by_opening_it(self, runner, tmp_path, monkeypatch):
+    def test_output_path_is_judged_by_opening_it(self, invoke, tmp_path, monkeypatch):
         # a refusing os.access is how a non-root user's read-only or write-only
         # file looks; only the open decides, and here it succeeds
         target = tmp_path / "out.txt"
         target.write_text("old\n")
         monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
-        result = runner.invoke(cli, ["count", "--n", "3", "--output", str(target)])
+        result = invoke(["count", "--n", "3", "--output", str(target)])
         assert result.exit_code == 0, result.output
         assert target.read_text() == "n=3: lonely=4 marriageable=1 total=5\n"
 
-    def test_empty_output_path(self, runner):
+    def test_empty_output_path(self, invoke):
         # an empty path is a path that cannot be opened, not a request for stdout
-        result = runner.invoke(cli, ["count", "--n", "3", "--output", ""])
+        result = invoke(["count", "--n", "3", "--output", ""])
         assert result.exit_code == 1
         assert result.output.startswith("error:") and result.output.count("\n") == 1
         assert "lonely" not in result.output
 
-    def test_output_path_is_directory(self, runner, tmp_path):
-        result = runner.invoke(
-            cli, ["enumerate", "--n", "4", "--output", str(tmp_path)]
-        )
+    def test_output_path_is_directory(self, invoke, tmp_path):
+        result = invoke(["enumerate", "--n", "4", "--output", str(tmp_path)])
         assert result.exit_code == 1
         assert result.output.startswith("error:")
         assert "Traceback" not in result.output
@@ -474,9 +497,9 @@ def _rarely(draw, values):
 @st.composite
 def argvs(draw):
     """An argv over every subcommand, with sizes, choices and options in and out of their sets."""
-    command = draw(st.sampled_from(sorted(cli.commands) + ["frobnicate"]))
+    command = draw(st.sampled_from(sorted(subcommands.choices) + ["frobnicate"]))
     argv = [command]
-    if command in cli.commands:
+    if command in subcommands.choices:
         stream = command in ("enumerate", "intersection")
         option = "--n" if stream or command == "count" else "--max-n"
         argv += [option, draw(st.sampled_from(STREAM_SIZES if stream else SIZES))]
@@ -497,9 +520,9 @@ def argvs(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(argvs())
-def test_exit_code_contract(argv):
+def test_exit_code_contract(invoke, argv):
     """Every argv exits with a documented code, raises nothing but SystemExit, and writes parseable output."""
-    result = CliRunner().invoke(cli, argv)
+    result = invoke(argv)
     assert result.exception is None or isinstance(result.exception, SystemExit), argv
     assert result.exit_code in (0, 1, 2, 64, 65), argv
     if result.exit_code in (1, 65):
@@ -574,23 +597,23 @@ class TestGoldenBytes:
     EVERY = sorted(GOLDEN) + ["verify --max-n 12 --format csv", "bounds --max-n 12 --format csv"]
 
     @pytest.mark.parametrize("line", sorted(GOLDEN))
-    def test_stdout_and_exit_code(self, runner, line):
-        result = runner.invoke(cli, line.split())
-        assert (result.exit_code, _sha256(result.stdout_bytes)) == self.GOLDEN[line]
-        assert result.stderr_bytes == b""
+    def test_stdout_and_exit_code(self, invoke, line):
+        result = invoke(line.split())
+        assert (result.exit_code, _sha256(result.stdout.encode())) == self.GOLDEN[line]
+        assert result.stderr == ""
 
     @pytest.mark.parametrize("line", EVERY)
-    def test_output_file_gets_the_stdout_bytes(self, runner, tmp_path, line):
+    def test_output_file_gets_the_stdout_bytes(self, invoke, tmp_path, line):
         target = tmp_path / "out"
-        shown = runner.invoke(cli, line.split())
-        written = runner.invoke(cli, line.split() + ["--output", str(target)])
+        shown = invoke(line.split())
+        written = invoke(line.split() + ["--output", str(target)])
         assert written.exit_code == shown.exit_code
-        assert written.stdout_bytes == b""
-        assert target.read_bytes() == shown.stdout_bytes
+        assert written.stdout == ""
+        assert target.read_bytes() == shown.stdout.encode()
 
     @pytest.mark.parametrize("line", EVERY)
-    def test_no_carriage_returns(self, runner, line):
-        assert b"\r" not in runner.invoke(cli, line.split()).stdout_bytes
+    def test_no_carriage_returns(self, invoke, line):
+        assert b"\r" not in invoke(line.split()).stdout.encode()
 
 
 class TestRenderCells:

@@ -13,11 +13,8 @@ import tokenize
 import types
 from pathlib import Path
 
-from click.testing import CliRunner
-
 import crossroads
 import crossroads.routes
-from crossroads.cli import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -42,6 +39,25 @@ def test_cli_does_not_load_the_routes():
     code = "import sys, crossroads.cli\nprint('crossroads.routes' in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_cli_loads_only_the_standard_library():
+    """``import crossroads.cli`` adds no top-level module outside the standard library and the package.
+
+    The baseline is what the interpreter had loaded before the import, so a
+    module that ``site`` loads (from a ``.pth`` file, say) is not counted.
+    """
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import crossroads.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'crossroads'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_no_function_level_imports():
@@ -258,7 +274,7 @@ def test_readme_library_example_runs():
     assert wrong == [] and checked >= 3
 
 
-def test_readme_transcripts_and_values_are_the_code_output():
+def test_readme_transcripts_and_values_are_the_code_output(invoke):
     """The Quick start transcripts, the recomputed-values table, its published line and the verify sentence hold.
 
     Each ``$ crossroads ARGS`` line runs in-process and must print, byte for
@@ -270,7 +286,7 @@ def test_readme_transcripts_and_values_are_the_code_output():
     transcripts = [chunk.strip("\n").split("\n") for chunk in block.split("\n\n")]
     for command, *lines in transcripts:
         args = shlex.split(command.removeprefix("$ crossroads "))
-        result = CliRunner().invoke(cli, args)
+        result = invoke(args)
         if (result.exit_code, result.stdout) != (0, "".join(line + "\n" for line in lines)):
             wrong.append(f"{command} exits {result.exit_code} and prints {result.stdout!r}")
 
@@ -288,7 +304,7 @@ def test_readme_transcripts_and_values_are_the_code_output():
 
     ((ok, max_n, beyond),) = re.findall(r"`verify` exits (\d+) for `--max-n (\d+)` and exits (\d+) ", readme)
     for n, code in ((int(max_n), int(ok)), (int(max_n) + 1, int(beyond))):
-        result = CliRunner().invoke(cli, ["verify", "--max-n", str(n)])
+        result = invoke(["verify", "--max-n", str(n)])
         if result.exit_code != code:
             wrong.append(f"verify --max-n {n} exits {result.exit_code}, the README says {code}")
     assert len(transcripts) == 5 and wrong == []
