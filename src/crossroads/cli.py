@@ -8,7 +8,7 @@ enumerate and intersection stream a generator; both are written in chunks.
 Arguments are parsed by the standard library's ``argparse``, so the package
 needs nothing outside it at run time. Exit codes: 0 success, 1 an output path
 could not be written, 2 a verification or bound check found mismatches, 64
-usage errors, 65 a resource or data ceiling was exceeded.
+usage errors, 65 a resource or data ceiling was exceeded; Ctrl-C: death by SIGINT.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ import contextlib
 import itertools
 import json
 import os
+import signal
 import sys
-from dataclasses import astuple, fields
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -197,19 +197,19 @@ def _command(*options, name=None):
 def count(n: int, fmt: str, output: "str | None"):
     """Tally the partitions of one ground-set size."""
     _render(
-        output, fmt, ("n", "lonely", "marriageable", "total"), [astuple(tally(CountJob(n)))],
+        output, fmt, ("n", "lonely", "marriageable", "total"), [tally(CountJob(n))._values()],
         line="n={}: lonely={} marriageable={} total={}".format,
     )
 
 
-TABLE_CSV_HEADER = tuple(f.name for f in fields(SequenceRow))
+TABLE_CSV_HEADER = SequenceRow.__slots__
 
 
 @_command(MAX_N, FORMAT, OUTPUT)
 def table(max_n: int, fmt: str, output: "str | None"):
     """Counts and ratio columns for every n up to --max-n."""
     _render(
-        output, fmt, TABLE_CSV_HEADER, [astuple(r) for r in ratio_report(tally_range(max_n))],
+        output, fmt, TABLE_CSV_HEADER, [r._values() for r in ratio_report(tally_range(max_n))],
         width=12, document=list,
     )
 
@@ -240,7 +240,7 @@ def verify(max_n: int, fmt: str, output: "str | None"):
     check_size(max_n, ceiling=MAX_PUBLISHED_N, what="the published table")
     rows = []
     for t in tally_range(max_n):
-        computed, published = astuple(t)[1:], published_row(t.n)
+        computed, published = t._values()[1:], published_row(t.n)
         rows.append((t.n, computed == published, *computed, *published))
     mismatches = sum(not row[1] for row in rows)
     _render(
@@ -367,6 +367,9 @@ def main(argv: "list[str] | None" = None) -> None:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
+    except KeyboardInterrupt:  # die by SIGINT, so that a calling shell stops too
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)
 
 
 if __name__ == "__main__":

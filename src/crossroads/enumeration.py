@@ -22,12 +22,11 @@ polynomial coefficients that yields them in O(n) exact steps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterator
 
 from .formulas import COUNT_CEILING, catalan
-from .partitions import Kind, Partition, check_size
+from .partitions import Kind, Partition, _Record, check_size
 
 ENUMERATE_CEILING = 500
 """Largest n accepted by noncrossing_partitions, classified_stream and
@@ -51,22 +50,18 @@ _LONELY_RECURRENCE = (
 """Row k holds (a_k0, ..., a_k4), the coefficients of p_k(n) = sum_d a_kd n^d."""
 
 
-@dataclass(frozen=True)
-class Tally:
+class Tally(_Record):
     """Counts for one ground-set size: lonely + marriageable = total."""
 
-    n: int
-    lonely: int
-    marriageable: int
-    total: int
+    __slots__ = __match_args__ = ("n", "lonely", "marriageable", "total")
 
-    def __post_init__(self):
-        if self.lonely + self.marriageable != self.total:
+    def __init__(self, n: int, lonely: int, marriageable: int, total: int):
+        if lonely + marriageable != total:
             raise ValueError("tally does not add up")
+        super().__init__(n, lonely, marriageable, total)
 
 
-@dataclass(frozen=True)
-class CountJob:
+class CountJob(_Record):
     """A counting request for the partitions of [n].
 
     ``workers`` is validated, None or a positive int (not a bool), but has no
@@ -74,13 +69,13 @@ class CountJob:
     passing it keep working.
     """
 
-    n: int
-    workers: "int | None" = None
+    __slots__ = __match_args__ = ("n", "workers")
 
-    def __post_init__(self):
-        check_size(self.n)
-        if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
+    def __init__(self, n: int, workers: "int | None" = None):
+        check_size(n)
+        if workers is not None and (type(workers) is not int or workers < 1):
             raise ValueError("workers must be a positive int")
+        super().__init__(n, workers)
 
 
 def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[list, list, tuple[int, int] | None]]":

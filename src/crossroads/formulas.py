@@ -10,11 +10,10 @@ transcription slip cannot round its way past the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING
 
-from .partitions import check_size
+from .partitions import _Record, check_size
 
 if TYPE_CHECKING:
     from .enumeration import Tally
@@ -135,22 +134,18 @@ def two_digits(num: int, den: int) -> str:
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
-@dataclass(frozen=True)
-class SequenceRow:
+class SequenceRow(_Record):
     """One row of the table report: counts plus the four ratio columns.
 
     Ratio fields are fixed two-digit strings; a ratio whose denominator does
     not exist (the n = 0 row, or a zero predecessor) is None.
     """
 
-    n: int
-    lonely: int
-    marriageable: int
-    catalan: int
-    ratio_l: "str | None"
-    ratio_m: "str | None"
-    m_over_l: "str | None"
-    m_over_c: str
+    __slots__ = __match_args__ = ("n", "lonely", "marriageable", "catalan", "ratio_l", "ratio_m", "m_over_l", "m_over_c")
+
+    def __init__(self, n: int, lonely: int, marriageable: int, catalan: int,
+                 ratio_l: "str | None", ratio_m: "str | None", m_over_l: "str | None", m_over_c: str):
+        super().__init__(n, lonely, marriageable, catalan, ratio_l, ratio_m, m_over_l, m_over_c)
 
 
 def _ratio(num: int, den: "int | None") -> "str | None":

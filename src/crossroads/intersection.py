@@ -28,15 +28,13 @@ The checked functions above stay the library's lane model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .enumeration import _walk, noncrossing_partitions
-from .partitions import Partition, _exits, _u_turn_regions, check_size
+from .partitions import Partition, _exits, _Record, _u_turn_regions, check_size
 
 
-@dataclass(frozen=True)
-class Msl:
+class Msl(_Record):
     """A maximal set of lanes: the lane from E_i ends at X_{exits[i-1]}.
 
     Validates on construction: at least one lane, every exit an int, the
@@ -46,11 +44,10 @@ class Msl:
     is a crossing.
     """
 
-    exits: tuple[int, ...]
+    __slots__ = __match_args__ = ("exits",)
 
     def __init__(self, exits: Iterable[int]):
         exits = tuple(exits)
-        object.__setattr__(self, "exits", exits)
         if not exits:
             raise ValueError("an MSL has at least one lane")
         if any(type(x) is not int for x in exits):
@@ -59,6 +56,7 @@ class Msl:
             raise ValueError("the exits must be a permutation of 1..n")
         if _u_turn_regions(exits) is None:
             raise ValueError("lanes cross")
+        object.__setattr__(self, "exits", exits)  # past the frozen __setattr__
 
     @property
     def n(self) -> int:

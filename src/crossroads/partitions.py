@@ -21,7 +21,6 @@ every entry point of the library runs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -45,8 +44,42 @@ def check_size(n: int, *, least: int = 0, ceiling: "int | None" = None, what: st
         raise CeilingExceededError(f"{what} is capped at n={ceiling}, got {n}")
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Record:
+    """A frozen record whose fields, in order, are its ``__match_args__``, which its class also names as ``__slots__``.
+
+    A subclass's ``__init__`` checks its fields, then sets them here. Equality
+    (within one class), hashing and ``repr`` read them; copies and unpickled
+    records are built by the constructor, so they are checked too.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self.__match_args__, self._values()))})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Partition(_Record):
     """A set partition of {1, ..., n} in canonical form.
 
     Blocks are stored as ascending tuples, ordered by their minimum element,
@@ -57,8 +90,7 @@ class Partition:
     partition the same ground set the same way.
     """
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = __match_args__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         blocks = [tuple(b) for b in blocks]
@@ -66,9 +98,22 @@ class Partition:
         if any(type(x) is not int for b in blocks for x in b):
             raise ValueError("elements must be ints")
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", canon)
-        self._validate()
+        check_size(n)
+        seen: set[int] = set()
+        for block in canon:
+            if not block:
+                raise ValueError("empty block")
+            for x in block:
+                if x < 1 or x > n:
+                    raise ValueError(f"element {x!r} outside 1..{n}")
+                if x in seen:
+                    raise ValueError(f"element {x} appears twice")
+                seen.add(x)
+        if len(seen) != n:
+            # from the elements given, not from 1..n: a short text may name a huge n
+            least = next((i for i, x in enumerate(sorted(seen), 1) if i != x), len(seen) + 1)
+            raise ValueError(f"missing {n - len(seen)} of the elements 1..{n}, the least {least}")
+        super().__init__(n, canon)
 
     @classmethod
     def _canonical(cls, n: int, blocks: "Iterable[tuple[int, ...]]") -> "Partition":
@@ -84,25 +129,14 @@ class Partition:
         least element (``test_msl_partitions_are_canonical``, through n = 10).
         """
         self = object.__new__(cls)
-        self.__dict__.update(n=n, blocks=tuple(blocks))  # one write past the frozen __setattr__
+        object.__setattr__(self, "n", n)  # past the frozen __setattr__
+        object.__setattr__(self, "blocks", tuple(blocks))
         return self
 
-    def _validate(self) -> None:
-        check_size(self.n)
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            for x in block:
-                if x < 1 or x > self.n:
-                    raise ValueError(f"element {x!r} outside 1..{self.n}")
-                if x in seen:
-                    raise ValueError(f"element {x} appears twice")
-                seen.add(x)
-        if len(seen) != self.n:
-            # from the elements given, not from 1..n: a short text may name a huge n
-            least = next((i for i, x in enumerate(sorted(seen), 1) if i != x), len(seen) + 1)
-            raise ValueError(f"missing {self.n - len(seen)} of the elements 1..{self.n}, the least {least}")
+    def __eq__(self, other):  # spelled out: the lane round trip compares partitions by the thousand
+        return self.n == other.n and self.blocks == other.blocks if other.__class__ is self.__class__ else NotImplemented
+
+    __hash__ = _Record.__hash__  # a class that defines __eq__ alone is unhashable
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -227,6 +228,24 @@ class TestEnumerate:
             assert proc.stderr.read() == b""
         finally:
             proc.kill()
+            proc.stderr.close()
+
+    def test_ctrl_c_dies_by_sigint_quietly(self):
+        """Ctrl-C ends the process by SIGINT (130 in a shell, so a calling script stops too), with nothing on stderr."""
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crossroads.cli", "enumerate", "--n", "14"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline() == b"1/2/3/4/5/6/7/8/9/10/11/12/13/14\n"
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60) == -signal.SIGINT
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stdout.close()
             proc.stderr.close()
 
 

@@ -1,6 +1,5 @@
 """The package layout: what the CLI loads, where imports sit, what the root exports."""
 import ast
-import dataclasses
 import functools
 import importlib
 import io
@@ -12,6 +11,8 @@ import sys
 import tokenize
 import types
 from pathlib import Path
+
+import pytest
 
 import crossroads
 import crossroads.routes
@@ -55,6 +56,26 @@ def test_cli_loads_only_the_standard_library():
         "import crossroads.cli\n"
         "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(added - set(sys.stdlib_module_names) - {'crossroads'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("module", ["crossroads", "crossroads.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    """Importing the package or its CLI adds neither ``dataclasses`` nor ``inspect`` to the interpreter.
+
+    Together they cost about 10 ms of every CLI process; the records are
+    ``partitions._Record`` subclasses. The baseline is what the interpreter
+    had loaded before the import.
+    """
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"import {module}\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
@@ -201,9 +222,9 @@ def test_region_scan_has_four_readers():
         if isinstance(node, ast.FunctionDef) and node.name in {"_u_turn_regions", "_exits", "_regions"}
     ]
     assert sorted(defined) == ["partitions._exits", "partitions._u_turn_regions"]
-    # and nothing caches the regions: a lane set is its exit permutation alone
-    assert [f.name for f in dataclasses.fields(crossroads.Msl)] == ["exits"]
-    assert vars(crossroads.Msl((1,))) == {"exits": (1,)}
+    # and nothing caches the regions: a lane set is its exit permutation alone, and has no __dict__ to hold more
+    assert crossroads.Msl.__slots__ == ("exits",)
+    assert not hasattr(crossroads.Msl((1,)), "__dict__")
 
 
 def test_rows_are_written_in_one_chunk_loop():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations, permutations
 
 import pytest
@@ -5,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossroads import (
+    CountJob,
+    Msl,
     Partition,
+    SequenceRow,
+    Tally,
     absorb_into_first,
     absorb_into_last,
     add_pair_block,
@@ -355,3 +361,61 @@ def test_property_canonical_and_classified(p):
     assert fast_ok == is_noncrossing_definitional(p)
     if fast_ok:
         assert classify(p) == classify_definitional(p)
+
+
+# each record with its repr, its fields in order, and another value of its class
+RECORDS = [
+    (Partition(3, [[2, 1], [3]]), "Partition(n=3, blocks=((1, 2), (3,)))", (3, ((1, 2), (3,))), Partition(3, [[1], [2, 3]])),
+    (Msl([2, 1]), "Msl(exits=(2, 1))", ((2, 1),), Msl((1, 2))),
+    (Tally(4, 9, 5, 14), "Tally(n=4, lonely=9, marriageable=5, total=14)", (4, 9, 5, 14), Tally(4, 5, 9, 14)),
+    (CountJob(3, workers=2), "CountJob(n=3, workers=2)", (3, 2), CountJob(3)),
+    (
+        SequenceRow(n=2, lonely=1, marriageable=1, catalan=2, ratio_l="1.00", ratio_m=None, m_over_l="1.00", m_over_c="0.50"),
+        "SequenceRow(n=2, lonely=1, marriageable=1, catalan=2, ratio_l='1.00', ratio_m=None, m_over_l='1.00', m_over_c='0.50')",
+        (2, 1, 1, 2, "1.00", None, "1.00", "0.50"),
+        SequenceRow(2, 1, 1, 2, "1.00", "1.00", "1.00", "0.50"),
+    ),
+]
+
+
+@pytest.mark.parametrize("record, text, values, other", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS])
+def test_record_semantics(record, text, values, other):
+    """The five records behave as frozen value classes: repr, equality within one class, hashing, no writes, copies, match."""
+    kind = type(record)
+    assert repr(record) == text
+    assert kind.__slots__ == kind.__match_args__ and len(values) == len(kind.__slots__)
+    by_keyword = kind(**dict(zip(kind.__match_args__, values)))
+    assert record == kind(*values) == by_keyword and hash(record) == hash(kind(*values)) == hash(values)
+    assert record != other and record != values and values != record
+    assert record != type("Sub", (kind,), {"__slots__": ()})(*values)  # same fields, another class
+    for attempt in (lambda: setattr(record, kind.__slots__[0], 0), lambda: delattr(record, kind.__slots__[0]),
+                    lambda: setattr(record, "extra", 0)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert not hasattr(record, "__dict__") and repr(record) == text
+    for copied in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(copied) is kind and copied == record and repr(copied) == text
+    match record:
+        case Partition(n, blocks):
+            matched = (n, blocks)
+        case Msl(exits):
+            matched = (exits,)
+        case Tally(n, lonely, marriageable, total):
+            matched = (n, lonely, marriageable, total)
+        case CountJob(n, workers):
+            matched = (n, workers)
+        case SequenceRow(n, lonely, marriageable, catalan, ratio_l, ratio_m, m_over_l, m_over_c):
+            matched = (n, lonely, marriageable, catalan, ratio_l, ratio_m, m_over_l, m_over_c)
+    assert matched == values
+
+
+def test_record_copies_are_checked_again():
+    """A copy or an unpickled record comes from the constructor, so a bad payload is refused as the constructor refuses it."""
+    assert Partition(2, [[1], [2]]).__reduce__() == (Partition, (2, ((1,), (2,))))
+
+    class Forged:  # pickles as a Partition whose fields were changed on the way
+        def __reduce__(self):
+            return Partition, (2, ((1,), (3,)))
+
+    with pytest.raises(ValueError, match="element 3 outside 1..2"):
+        pickle.loads(pickle.dumps(Forged()))
