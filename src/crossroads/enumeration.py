@@ -16,16 +16,15 @@ singletons share a region (the top level or one gap of one block).
 that copy its live blocks into values (``Partition._canonical``); the
 ``enumerate`` and ``intersection`` commands read that state directly.
 
-Counting visits no partition at all: the lonely numbers are the coefficients
-of an algebraic generating function, and they obey a linear recurrence with
-polynomial coefficients that yields them in O(n) exact steps.
+Counting visits no partition at all: the lonely numbers are the coefficients of
+an algebraic generating function, and they obey a linear recurrence with polynomial
+coefficients that :func:`~crossroads.formulas._p_recursive` runs in O(n) exact steps.
 """
 from __future__ import annotations
 
-from operator import mul
 from typing import Iterator
 
-from .formulas import COUNT_CEILING, catalan
+from .formulas import _CATALAN_RECURRENCE, COUNT_CEILING, _p_recursive, catalan
 from .partitions import Kind, Partition, _Record, check_size
 
 ENUMERATE_CEILING = 500
@@ -47,7 +46,7 @@ _LONELY_RECURRENCE = (
     (331485, -657275, 459661, -135601, 14378),
     (124200, -233358, 154445, -42711, 4186),
 )
-"""Row k holds (a_k0, ..., a_k4), the coefficients of p_k(n) = sum_d a_kd n^d."""
+"""p_0..p_5 of the lonely recurrence, of degree 4; the row format is that of :func:`~crossroads.formulas._p_recursive`."""
 
 
 class Tally(_Record):
@@ -221,13 +220,7 @@ def _lonely_numbers(max_n: int) -> "list[int]":
     the terms follow in O(max_n) exact integer steps.
     """
     check_size(max_n, ceiling=COUNT_CEILING, what="the lonely series")
-    lonely = list(_LONELY_START[: max_n + 1])
-    for n in range(len(_LONELY_START), max_n + 1):
-        p0, *p = (sum(a * n**d for d, a in enumerate(row)) for row in _LONELY_RECURRENCE)
-        num = -sum(map(mul, p, reversed(lonely[-5:])))
-        assert num % p0 == 0
-        lonely.append(num // p0)
-    return lonely
+    return _p_recursive(list(_LONELY_START[: max_n + 1]), _LONELY_RECURRENCE, max_n)
 
 
 def tally(job: CountJob) -> Tally:
@@ -242,13 +235,10 @@ def tally(job: CountJob) -> Tally:
 
 
 def tally_range(max_n: int) -> "list[Tally]":
-    """Tallies for every n from 0 to max_n inclusive, from one run of the recurrence."""
-    tallies = []
-    total = 1
-    for n, lonely in enumerate(_lonely_numbers(max_n)):
-        tallies.append(Tally(n, lonely, total - lonely, total))
-        total = total * 2 * (2 * n + 1) // (n + 2)  # C_{n+1} = C_n * 2(2n+1) / (n+2), exactly
-    return tallies
+    """Tallies for every n from 0 to max_n inclusive, from one run of each recurrence."""
+    lonely = _lonely_numbers(max_n)  # checks max_n before either recurrence runs
+    totals = _p_recursive([1], _CATALAN_RECURRENCE, max_n)
+    return [Tally(n, lone, total - lone, total) for n, (lone, total) in enumerate(zip(lonely, totals))]
 
 
 def classified_stream(n: int, kind: "Kind | str | None" = None) -> "Iterator[tuple[Partition, tuple[int, int] | None]]":

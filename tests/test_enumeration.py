@@ -7,6 +7,8 @@ from operator import mul
 
 import pytest
 
+import crossroads.enumeration
+import crossroads.formulas
 from crossroads import (
     COUNT_CEILING,
     ENUMERATE_CEILING,
@@ -277,11 +279,21 @@ class TestTally:
 
     def test_seed_values_pinned_through_320(self):
         # L_0..L_320 as the memoized state machine that preceded the series
-        # computed them, joined by commas and hashed.
-        lonely = ",".join(str(tally(CountJob(n)).lonely) for n in range(321))
-        assert hashlib.sha256(lonely.encode()).hexdigest() == (
-            "4e83a6b51ed89c06d36c2dc5f1bda849e971e6304e795cceca3b549df1300cb0"
-        )
+        # computed them, joined by commas and hashed; then the whole counting
+        # range as the hand-written recurrence loops that preceded the one
+        # runner computed it.
+        pinned = [
+            ((tally(CountJob(n)).lonely for n in range(321)),
+             "4e83a6b51ed89c06d36c2dc5f1bda849e971e6304e795cceca3b549df1300cb0"),
+            ((t.lonely for t in tally_range(COUNT_CEILING)),
+             "d32c83b9e36cf64473f6c46f12e88c0e137b9af3ce6e34b879c6dc3e9a9021a8"),
+            ((lower_bound_lonely(n) for n in range(2, COUNT_CEILING + 1)),
+             "5c54bd938489aa508b3e686c7770d45ca764a13af28f357c3eda598dfdeb4357"),
+            ((lower_bound_marriageable(n) for n in range(3, COUNT_CEILING + 1)),
+             "5fff6e769251ccea2a753ed88e046ee754fca4812d9c2a3102606068ca5df943"),
+        ]
+        for values, digest in pinned:
+            assert hashlib.sha256(",".join(map(str, values)).encode()).hexdigest() == digest
 
     def test_tally_range(self):
         tallies = tally_range(4)
@@ -535,3 +547,20 @@ def test_negative_size_is_rejected(entry, least, n):
 def test_size_above_the_ceiling_is_rejected(entry, what, ceiling):
     with pytest.raises(CeilingExceededError, match=f"^{what} is capped at n={ceiling}, got {ceiling + 1}$"):
         _call(entry, ceiling + 1)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(tally_range, id="tally_range"),
+    pytest.param(lambda n: tally(CountJob(n)), id="tally"),
+    pytest.param(lower_bound_lonely, id="lower_bound_lonely"),
+    pytest.param(lower_bound_marriageable, id="lower_bound_marriageable"),
+])
+def test_size_is_checked_before_the_recurrence_runs(entry, monkeypatch):
+    """With the runner refused, a size far above the ceiling is still refused by the ceiling, not run up to."""
+    def refuse(terms, rows, max_n):
+        raise AssertionError(f"the recurrence ran to n={max_n}")
+
+    monkeypatch.setattr(crossroads.formulas, "_p_recursive", refuse)
+    monkeypatch.setattr(crossroads.enumeration, "_p_recursive", refuse)
+    with pytest.raises(CeilingExceededError):
+        entry(10**9)

@@ -155,7 +155,22 @@ class TestLowerBounds:
     def test_riordan_memo_stops_at_the_ceiling(self):
         lower_bound_lonely(COUNT_CEILING)
         lower_bound_marriageable(COUNT_CEILING)
-        assert len(formulas._RIORDAN) <= COUNT_CEILING + 1
+        # the memo is the list of terms, R_0..R_COUNT_CEILING, not the table of rows that extends it
+        assert type(formulas._RIORDAN) is list
+        assert len(formulas._RIORDAN) == COUNT_CEILING + 1
+        assert formulas._RIORDAN[:10] == [1, 0, 1, 1, 3, 6, 15, 36, 91, 232]
+
+    def test_runner_stops_at_the_first_inexact_division(self):
+        # (n+1) a_n = (3n-2) a_{n-1}, a mistyped Catalan row, fails at once: 2 a_1 = 1
+        terms = [1]
+        with pytest.raises(AssertionError):
+            formulas._p_recursive(terms, ((1, 1), (2, -3)), 10)
+        assert terms == [1]
+        # p_1 = 2-3n for the Riordan rows' 2-2n still gives R_2 = 1, then 4 a_3 = 7
+        terms = [1, 0]
+        with pytest.raises(AssertionError):
+            formulas._p_recursive(terms, ((1, 1), (2, -3), (3, -3)), 10)
+        assert terms == [1, 0, 1]
 
     def test_bounds_hold_against_tallies(self):
         tallies = tally_range(14)

@@ -104,7 +104,7 @@ def test_routes_name_no_engine_scan():
     engine = {
         "is_noncrossing", "_exits", "nesting_forest", "classify", "classify_fast",
         "_u_turn_regions", "is_absolute", "Msl", "_walk", "noncrossing_partitions",
-        "classified_stream", "_lonely_numbers", "tally", "tally_range",
+        "classified_stream", "_lonely_numbers", "_p_recursive", "tally", "tally_range",
     }
     tree = ast.parse((SRC / "crossroads" / "routes.py").read_text())
     named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
