@@ -43,13 +43,7 @@ from .partitions import (
     CeilingExceededError,
     Kind,
     Partition,
-    absorb_into_first,
-    absorb_into_last,
-    add_pair_block,
-    add_singleton_pair,
     classify,
-    grow_lonely,
-    grow_marriageable,
     is_noncrossing,
     nesting_forest,
 )
@@ -69,16 +63,10 @@ __all__ = [
     "SEQUENCE_IDS",
     "SequenceRow",
     "Tally",
-    "absorb_into_first",
-    "absorb_into_last",
-    "add_pair_block",
-    "add_singleton_pair",
     "catalan",
     "classified_stream",
     "classify",
     "enumerate_msl",
-    "grow_lonely",
-    "grow_marriageable",
     "is_absolute",
     "is_noncrossing",
     "lower_bound_lonely",

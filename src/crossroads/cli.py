@@ -329,8 +329,8 @@ def intersection(n: int, fmt: str, output: "str | None"):
     """Stream every maximal lane set with its absoluteness flag.
 
     It writes C_n rows, the n-th Catalan number. On a 2-vCPU host with
-    CPython 3.11, n = 13 (742,900 rows) takes about 2.7 s in text and 3.4 s
-    in json, so n = 14 (2.67 M rows) takes about 10 s, n = 16 (35.4 M rows)
+    CPython 3.11, n = 13 (742,900 rows) takes about 3.5 s in text and 4.1 s
+    in json, so n = 14 (2.67 M rows) takes about 14 s, n = 16 (35.4 M rows)
     over two minutes and n = 20 (6.56 G rows) hours.
     """
     _render(

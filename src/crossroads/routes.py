@@ -28,8 +28,8 @@ ORACLE_CEILING = 10
 """Largest n accepted by the brute-force oracle over all set partitions."""
 
 STREAM_CEILING = 14
-"""Largest n accepted by stream_tally, the top published row: n = 14 takes about
-3 s on a 2-vCPU host with CPython 3.11, and each further n about 3.6 times longer."""
+"""Largest n accepted by stream_tally, the top published row: n = 14 takes 1.2 to
+2.4 s on a 2-vCPU host with CPython 3.11, and each further n about 3.6 times longer."""
 
 
 def all_set_partitions(n: int) -> Iterator[Partition]:

@@ -34,15 +34,9 @@ from itertools import combinations, zip_longest
 from crossroads import (
     CountJob,
     Tally,
-    absorb_into_first,
-    absorb_into_last,
-    add_pair_block,
-    add_singleton_pair,
     catalan,
     classify,
     enumerate_msl,
-    grow_lonely,
-    grow_marriageable,
     is_absolute,
     lower_bound_lonely,
     lower_bound_marriageable,
@@ -54,6 +48,14 @@ from crossroads import (
     ratio_report,
     tally,
     tally_range,
+)
+from crossroads.maps import (
+    absorb_into_first,
+    absorb_into_last,
+    add_pair_block,
+    add_singleton_pair,
+    grow_lonely,
+    grow_marriageable,
 )
 from crossroads.routes import classify_definitional, oracle_tally, stream_tally
 

@@ -31,6 +31,7 @@ from crossroads import (
     tally_range,
 )
 from crossroads.enumeration import _LONELY_RECURRENCE, _LONELY_START, _text_rows, _walk
+from crossroads.formulas import _CATALAN_RECURRENCE, _RIORDAN_RECURRENCE
 from crossroads.intersection import _lane_rows
 from crossroads.routes import (
     ORACLE_CEILING,
@@ -72,6 +73,18 @@ COMPUTED = {
 # The lonely cubic P(x, R) = 0 of _lonely_series: row j holds the
 # coefficients in x of R^j.
 CUBIC = ((-1, -1), (1, 2, 3), (0, -2, -3, -2), (0, 0, 1, 2, 1))
+# The same for x(1+x) r^2 - (1+x) r + 1 = 0 of the Riordan series and x C^2 - C + 1 = 0 of the Catalan series.
+RIORDAN_QUADRATIC = ((1,), (-1, -1), (0, 1, 1))
+CATALAN_QUADRATIC = ((1,), (-1,), (0, 1))
+# (equation, rows, start values, whether the rows are certified) for TestLonelyRecurrence. Each recurrence
+# table of the package is certified here under its name (tests/test_layout.py checks that none is missing),
+# and the Riordan rows with p_0 = 1 in place of 1 + n, which run with exact divisions to n = 60, are refused.
+CERTIFICATES = [
+    pytest.param(CUBIC, _LONELY_RECURRENCE, _LONELY_START, True, id="_LONELY_RECURRENCE"),
+    pytest.param(RIORDAN_QUADRATIC, _RIORDAN_RECURRENCE, (1, 0), True, id="_RIORDAN_RECURRENCE"),
+    pytest.param(CATALAN_QUADRATIC, _CATALAN_RECURRENCE, (1,), True, id="_CATALAN_RECURRENCE"),
+    pytest.param(RIORDAN_QUADRATIC, ((1, 0),) + _RIORDAN_RECURRENCE[1:], (1, 0), False, id="riordan-p0-is-1"),
+]
 
 
 # Reference counters for the recurrence that ``tally`` runs. Neither is
@@ -322,54 +335,60 @@ class TestMachines:
 
 
 class TestLonelyRecurrence:
-    def test_certified_by_the_cubic(self):
-        """sum_k p_k(n) L_{n-k} = 0 holds for every n >= 5, not only where it was fitted.
+    @pytest.mark.parametrize(("equation", "rows", "start", "certified"), CERTIFICATES)
+    def test_certified_by_its_equation(self, equation, rows, start, certified):
+        """sum_k p_k(n) a_{n-k} = 0 holds for every n past the start values, not only where it was fitted.
 
-        With theta = x d/dx, the operator Omega = sum_k x^k p_k(theta + k)
-        maps R = sum L_n x^n to sum_n c_n x^n, c_n = sum_{k<=n} p_k(n) L_{n-k},
-        so the recurrence with its start values says Omega R = Q, the
-        polynomial of c_0..c_4. R' = -P_x / P_R gives theta^j R as
-        N_j(x, R) / P_R^(2j-1), so F = P_R^7 (Omega R - Q) is a polynomial in
-        x and R. Its pseudo-remainder by P in R is 0, so F(x, R(x)) = 0, and
-        P_R(0, 1) = 1 makes P_R(x, R(x)) invertible: Omega R = Q.
+        Here R = sum a_n x^n is the series of the start values and the rows,
+        and P(x, R) = 0 its equation, of degree e in R. With theta = x d/dx,
+        the operator Omega = sum_k x^k p_k(theta + k) maps R to sum_n c_n x^n,
+        c_n = sum_{k<=n} p_k(n) a_{n-k}, so the recurrence with its start
+        values says Omega R = Q, the polynomial of the c_n over the start
+        values. R' = -P_x / P_R gives theta^j R as N_j(x, R) / P_R^(2j-1), so,
+        with d the rows' degree, F = P_R^(2d-1) (Omega R - Q) is a polynomial
+        in x and R. Its pseudo-remainder by P in R is 0, so F(x, R(x)) = 0, and
+        P_R(0, a_0) != 0 makes P_R(x, R(x)) invertible: Omega R = Q. Rows that
+        are not certified leave a remainder.
         """
         x, r = {(1, 0): 1}, {(0, 1): 1}
-        cubic = {(i, j): c for j, row in enumerate(CUBIC) for i, c in enumerate(row) if c}
-        px, pr = _pdiff(cubic, 0), _pdiff(cubic, 1)
-        assert sum(c for (i, _), c in pr.items() if i == 0) == 1
+        poly = {(i, j): c for j, row in enumerate(equation) for i, c in enumerate(row) if c}
+        px, pr = _pdiff(poly, 0), _pdiff(poly, 1)
+        assert sum(c * start[0] ** j for (i, j), c in pr.items() if i == 0) != 0
+        d = max(map(len, rows)) - 1
         pr_powers = [{(0, 0): 1}]
-        for _ in range(7):
+        for _ in range(2 * d - 1):
             pr_powers.append(_pmul(pr_powers[-1], pr))
         # d/dx F(x, R(x)) = (F_x P_R - F_R P_x) / P_R
         d_pr = _plin((1, _pmul(_pdiff(pr, 0), pr)), (-1, _pmul(_pdiff(pr, 1), px)))
-        theta = [_pmul(r, pr_powers[7])]  # theta^j R, all over P_R^7
+        theta = [_pmul(r, pr_powers[-1])]  # theta^j R, all over P_R^(2d-1)
         num, power = _plin((-1, _pmul(x, px))), 1
-        for _ in range(4):
-            theta.append(_pmul(num, pr_powers[7 - power]))
+        for _ in range(d):
+            theta.append(_pmul(num, pr_powers[2 * d - 1 - power]))
             d_num = _plin((1, _pmul(_pdiff(num, 0), pr)), (-1, _pmul(_pdiff(num, 1), px)))
             num = _plin((1, _pmul(_pmul(x, pr), d_num)), (-power, _pmul(_pmul(x, num), d_pr)))
             power += 2
 
         def p(k: int, n: int) -> int:
-            return sum(a * n**d for d, a in enumerate(_LONELY_RECURRENCE[k]))
+            return sum(a * n**i for i, a in enumerate(rows[k]))
 
         q = {
-            (n, 0): sum(p(k, n) * _LONELY_START[n - k] for k in range(n + 1))
-            for n in range(len(_LONELY_START))
+            (n, 0): sum(p(k, n) * start[n - k] for k in range(min(n, len(rows) - 1) + 1))
+            for n in range(len(start))
         }
-        terms = [(-1, _pmul(q, pr_powers[7]))]
-        for k, row in enumerate(_LONELY_RECURRENCE):
+        terms = [(-1, _pmul(q, pr_powers[-1]))]
+        for k, row in enumerate(rows):
             for j in range(len(row)):
                 # coefficient of t^j in p_k(t + k)
-                b = sum(a * comb(d, j) * k ** (d - j) for d, a in enumerate(row) if d >= j)
+                b = sum(a * comb(i, j) * k ** (i - j) for i, a in enumerate(row) if i >= j)
                 terms.append((b, _pmul({(k, 0): 1}, theta[j])))
         f = _plin(*terms)
         # pseudo-division: scale by P's leading coefficient, cancel the top power of R
-        lead = {(i, 0): c for (i, j), c in cubic.items() if j == 3}
-        while f and (top := max(j for _, j in f)) >= 3:
-            head = {(i, top - 3): c for (i, j), c in f.items() if j == top}
-            f = _plin((1, _pmul(lead, f)), (-1, _pmul(head, cubic)))
-        assert f == {}
+        e = len(equation) - 1
+        lead = {(i, 0): c for (i, j), c in poly.items() if j == e}
+        while f and (top := max(j for _, j in f)) >= e:
+            head = {(i, top - e): c for (i, j), c in f.items() if j == top}
+            f = _plin((1, _pmul(lead, f)), (-1, _pmul(head, poly)))
+        assert (f == {}) is certified
 
     def test_leading_coefficient_has_no_root_from_5(self):
         # every complex root of p_0 is below Cauchy's bound 1 + max |a_d / a_4|

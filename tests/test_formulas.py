@@ -1,3 +1,6 @@
+import hashlib
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from math import comb, floor
@@ -159,6 +162,47 @@ class TestLowerBounds:
         assert type(formulas._RIORDAN) is list
         assert len(formulas._RIORDAN) == COUNT_CEILING + 1
         assert formulas._RIORDAN[:10] == [1, 0, 1, 1, 3, 6, 15, 36, 91, 232]
+
+    def test_concurrent_bounds_extend_the_memo_once(self):
+        """Four threads running both bounds at the ceiling from a reset memo leave ``_RIORDAN`` whole and right.
+
+        The bounds extend the one module list; two threads extending it at
+        once would append the same term twice and read the wrong predecessors.
+        The digests are those that ``test_seed_values_pinned_through_320`` pins.
+        """
+        pinned = [
+            (lower_bound_lonely, 2, "5c54bd938489aa508b3e686c7770d45ca764a13af28f357c3eda598dfdeb4357"),
+            (lower_bound_marriageable, 3, "5fff6e769251ccea2a753ed88e046ee754fca4812d9c2a3102606068ca5df943"),
+        ]
+        saved, interval = formulas._RIORDAN[:], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so that unguarded extensions interleave
+        try:
+            for _ in range(10):
+                formulas._RIORDAN[:] = [1, 0]
+                start, errors = threading.Barrier(4), []
+
+                def run():
+                    try:
+                        start.wait(timeout=60)
+                        lower_bound_lonely(COUNT_CEILING)
+                        lower_bound_marriageable(COUNT_CEILING)
+                    except Exception as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=run) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert len(formulas._RIORDAN) == COUNT_CEILING + 1
+                for bound, least, digest in pinned:
+                    values = ",".join(str(bound(n)) for n in range(least, COUNT_CEILING + 1))
+                    assert hashlib.sha256(values.encode()).hexdigest() == digest
+        finally:
+            sys.setswitchinterval(interval)
+            formulas._RIORDAN[:] = saved
 
     def test_runner_stops_at_the_first_inexact_division(self):
         # (n+1) a_n = (3n-2) a_{n-1}, a mistyped Catalan row, fails at once: 2 a_1 = 1

@@ -16,6 +16,7 @@ import pytest
 
 import crossroads
 import crossroads.routes
+from test_enumeration import CERTIFICATES
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -35,11 +36,13 @@ def _modules_named(node: "ast.Import | ast.ImportFrom") -> "list[str]":
 
 
 def test_cli_does_not_load_the_routes():
+    """Neither the package root nor the CLI loads the routes or the constructive maps."""
     paths = [str(SRC), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = "import sys, crossroads.cli\nprint('crossroads.routes' in sys.modules)\n"
+    check = "print([name for name in ('crossroads.routes', 'crossroads.maps') if name in sys.modules])\n"
+    code = "import sys, crossroads\n" + check + "import crossroads.cli\n" + check
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
 
 
 def test_cli_loads_only_the_standard_library():
@@ -91,10 +94,11 @@ def test_no_function_level_imports():
 
 
 def test_no_module_imports_routes():
-    assert "routes.py" in [path.name for path in MODULES]
+    """No module of the package imports the routes or the constructive maps."""
+    assert {"routes.py", "maps.py"} <= {path.name for path in MODULES}
     importers = [
-        path.name for path in MODULES
-        if any("crossroads.routes" in _modules_named(node) for node in _imports(ast.parse(path.read_text())))
+        f"{path.name} imports {module}" for path in MODULES for module in ("crossroads.routes", "crossroads.maps")
+        if any(module in _modules_named(node) for node in _imports(ast.parse(path.read_text())))
     ]
     assert importers == []
 
@@ -110,6 +114,18 @@ def test_routes_name_no_engine_scan():
     named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
     named |= {alias.name for node in _imports(tree) for alias in node.names}
     assert sorted(named & engine) == []
+
+
+def test_every_recurrence_table_is_certified():
+    """The ``_..._RECURRENCE`` tables the package defines are, by name and rows, those the certificate test certifies."""
+    tables = sorted(
+        (target.id, getattr(importlib.import_module(f"crossroads.{path.stem}"), target.id))
+        for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assign) for target in node.targets
+        if re.fullmatch(r"_\w+_RECURRENCE", getattr(target, "id", ""))
+    )
+    certified = sorted((param.id, param.values[1]) for param in CERTIFICATES if param.values[3])
+    assert len(tables) >= 3 and tables == certified
 
 
 def test_definition_route_reaches_no_region_scan(monkeypatch):

@@ -12,15 +12,17 @@ from crossroads import (
     Partition,
     SequenceRow,
     Tally,
+    classify,
+    is_noncrossing,
+    nesting_forest,
+)
+from crossroads.maps import (
     absorb_into_first,
     absorb_into_last,
     add_pair_block,
     add_singleton_pair,
-    classify,
     grow_lonely,
     grow_marriageable,
-    is_noncrossing,
-    nesting_forest,
 )
 from crossroads.routes import (
     all_set_partitions,
