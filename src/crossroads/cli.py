@@ -55,15 +55,6 @@ def _cell(value, words=("false", "true")) -> str:
     return str(value)
 
 
-def _json_cell(value) -> str:
-    """One json cell: None and the bools by identity, as :func:`_cell` finds them, the rest by ``_encode`` after :func:`_jnum`."""
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return ("false", "true")[value]
-    return _encode(_jnum(value))
-
-
 CHUNK_LINES = 512
 """Most lines :func:`_render` joins into one write call. Larger chunks save
 few calls and hold more text at once."""
@@ -107,11 +98,12 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
     whole.
     csv: a header, then a line per row, each ending in "\\n"; None is empty,
     bools are true/false, partition and lanes are quoted.
-    json: ``document(records)`` as one line, each record ``dict(zip(columns,
-    row))``; without ``document``, one object per row and line, encoded cells
-    in one template. Both write integers past 2^53 - 1 as strings (:func:`_jnum`).
-    csv and json lines are filled by :func:`_filled`; the cells of
-    :data:`_TEXT_COLUMNS` take no Python call.
+    json: a report (count, table, verify, bounds, conjectures) passes
+    ``document`` and gets ``document(records)`` on one line, each record
+    ``dict(zip(columns, row))`` with integers past 2^53 - 1 as strings
+    (:func:`_jnum`); a stream (enumerate, intersection) gets an object per
+    row and line, its cells text or bools. csv and json lines are filled by
+    :func:`_filled`, where the cells of :data:`_TEXT_COLUMNS` take no Python call.
     text: with ``width``, a header and the cells right-aligned to it, bools as
     yes/no; otherwise ``line(*row)`` per row, then ``summary`` if given.
     """
@@ -127,7 +119,7 @@ def _render(output, fmt, columns, rows, *, line=None, width=None, summary=None, 
         lines = iter([_encode(document(records)) + "\n"])
     elif fmt == "json":
         template = "{" + ",".join(_encode(c) + ":%s" for c in columns) + "}\n"
-        converters = [encode_basestring_ascii if c in _TEXT_COLUMNS else _json_cell for c in columns]
+        converters = [encode_basestring_ascii if c in _TEXT_COLUMNS else _cell for c in columns]
         lines = _filled(template, converters, rows)
     elif width:
         lines = (" ".join(_cell(v, ("no", "yes")).rjust(width) for v in row) + "\n"
@@ -198,7 +190,7 @@ def count(n: int, fmt: str, output: "str | None"):
     """Tally the partitions of one ground-set size."""
     _render(
         output, fmt, ("n", "lonely", "marriageable", "total"), [tally(CountJob(n))._values()],
-        line="n={}: lonely={} marriageable={} total={}".format,
+        line="n={}: lonely={} marriageable={} total={}".format, document=itemgetter(0),
     )
 
 

@@ -29,11 +29,11 @@ from .partitions import Kind, Partition, _Record, check_size
 
 ENUMERATE_CEILING = 500
 """Largest n accepted by noncrossing_partitions, classified_stream and
-enumerate_msl, which streams the walker's image; the walker nests one
-generator frame per position, the frame of position n making the forced last
-move and yielding the leaf, and each view adds one; with the default
-recursion limit the first item of every view is drawn through n = 994 and
-fails at n = 995 (by bisection with the ceiling lifted)."""
+enumerate_msl, which streams the walker's image. The walker nests a generator
+frame per position and each view adds one, so with the default recursion
+limit and the ceiling lifted, bisection draws the first item through n = 994
+for noncrossing_partitions, classified_stream, ``_text_rows`` and
+``_lane_rows``, and through n = 993 for enumerate_msl (its own generator adds a frame)."""
 
 _LONELY_START = (1, 1, 1, 4, 9)
 """L_0..L_4, from which the recurrence of :func:`_lonely_numbers` runs."""
@@ -102,6 +102,7 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[list, list, tupl
     if kind is not None:
         kind = Kind(kind)
     names = [str(x) for x in range(n + 1)]
+    tails = ["," + name for name in names]  # what appending x adds to a block's text
     blocks: list[tuple[int, ...]] = []
     texts: list[str] = []  # each block's text, e.g. "1,4,5"
     stack = [0] * n  # stack[d]: index in blocks of the open block at depth d, outermost first
@@ -117,7 +118,7 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[list, list, tupl
                 # close the one open block
                 top = stack[0]
                 block, text = blocks[top], texts[top]
-                blocks[top], texts[top] = block + (pos,), text + "," + names[pos]
+                blocks[top], texts[top] = block + (pos,), text + tails[pos]
             elif pos == n:
                 # a singleton at the top level, the only region left
                 first = firsts[0]
@@ -142,7 +143,7 @@ def _walk(n: int, kind: "Kind | str | None") -> "Iterator[tuple[list, list, tupl
             top = stack[depth - 1]
             first = firsts[depth]
             block, text = blocks[top], texts[top]
-            blocks[top], texts[top] = block + (pos,), text + "," + names[pos]
+            blocks[top], texts[top] = block + (pos,), text + tails[pos]
             # close the top block here: its last gap ends with it
             yield from walk(pos + 1, depth - 1, witness)
             stack[depth - 1] = top  # deeper frames reused the slot

@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossroads import (COUNT_CEILING, ENUMERATE_CEILING, catalan, classified_stream, lower_bound_lonely,
+from crossroads import (COUNT_CEILING, ENUMERATE_CEILING, Kind, catalan, classified_stream, lower_bound_lonely,
                          published_row)
 from crossroads.cli import CHUNK_LINES, USAGE_EXIT, _render, subcommands
+from crossroads.enumeration import _text_rows
+from crossroads.intersection import _lane_rows
 
 
 class TestCount:
@@ -643,17 +645,37 @@ class TestRenderCells:
     @pytest.mark.parametrize("fmt, expected", [
         ("csv", 'n,match,partition,class\n,true,"1,2/3",lonely\n12,false,"",marriageable\n0,1,"1",lonely\n'
                 '9007199254740992,false,"1/2",lonely\n'),
-        ("json", '{"n":null,"match":true,"partition":"1,2/3","class":"lonely"}\n'
-                 '{"n":12,"match":false,"partition":"","class":"marriageable"}\n'
-                 '{"n":0,"match":1,"partition":"1","class":"lonely"}\n'
-                 '{"n":"9007199254740992","match":false,"partition":"1/2","class":"lonely"}\n'),
     ])
     def test_none_bool_and_str_cells(self, capsys, fmt, expected):
         # the text columns skip the per-cell conversion, the others keep it;
-        # the ints 0 and 1 stay ints, not bools; json lines, like the json
-        # documents, write an int past 2^53 - 1 as a string, csv writes it bare
+        # the ints 0 and 1 stay ints, not bools; csv writes an int past 2^53 - 1 bare
         _render(None, fmt, self.COLUMNS, iter(self.ROWS))
         assert capsys.readouterr().out == expected
+
+    def test_json_document_cells(self, capsys):
+        # a report's json document: None is null, the ints 0 and 1 stay ints, an int past 2^53 - 1 is a string
+        _render(None, "json", self.COLUMNS, iter(self.ROWS), document=list)
+        assert capsys.readouterr().out == (
+            '[{"n":null,"match":true,"partition":"1,2/3","class":"lonely"},'
+            '{"n":12,"match":false,"partition":"","class":"marriageable"},'
+            '{"n":0,"match":1,"partition":"1","class":"lonely"},'
+            '{"n":"9007199254740992","match":false,"partition":"1/2","class":"lonely"}]\n'
+        )
+
+    def test_json_lines_cells(self, capsys):
+        # a stream's json lines: text cells through the string encoder, bools as false/true
+        rows = [("E1>X1,E2>X2", False, "1/2"), ("E1>X2,E2>X1", True, "1,2")]
+        _render(None, "json", ("lanes", "absolute", "partition"), iter(rows))
+        assert capsys.readouterr().out == (
+            '{"lanes":"E1>X1,E2>X2","absolute":false,"partition":"1/2"}\n'
+            '{"lanes":"E1>X2,E2>X1","absolute":true,"partition":"1,2"}\n'
+        )
+
+    def test_stream_rows_are_text_and_bool_cells(self):
+        # json lines write no None or int cell, so the streams' rows must hold none
+        for kind in (None, *Kind, *(k.value for k in Kind)):
+            assert {tuple(map(type, row)) for n in range(7) for row in _text_rows(n, kind)} == {(str, str)}, kind
+        assert {tuple(map(type, row)) for n in range(1, 7) for row in _lane_rows(n)} == {(str, bool, str)}
 
 
 class TestChunkedWrites:

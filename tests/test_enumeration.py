@@ -500,9 +500,14 @@ class TestClassifiedStream:
         assert list(classified_stream(0, Kind.MARRIAGEABLE)) == []
 
     def test_ceiling(self):
+        # every view, the CLI's two row streams included, draws its first item at the ceiling
         first = next(noncrossing_partitions(ENUMERATE_CEILING))
         assert first.blocks == tuple((i,) for i in range(1, ENUMERATE_CEILING + 1))
         assert next(classified_stream(ENUMERATE_CEILING, Kind.MARRIAGEABLE))[0] == first
+        assert next(enumerate_msl(ENUMERATE_CEILING)) == partition_to_msl(first)
+        assert next(_text_rows(ENUMERATE_CEILING, None)) == (first.to_text(), "marriageable")
+        lanes = ",".join(f"E{i}>X{i}" for i in range(1, ENUMERATE_CEILING + 1))
+        assert next(_lane_rows(ENUMERATE_CEILING)) == (lanes, False, first.to_text())
         for stream in (noncrossing_partitions, classified_stream):
             with pytest.raises(CeilingExceededError):
                 next(stream(ENUMERATE_CEILING + 1))

@@ -266,6 +266,20 @@ def test_rows_are_written_in_one_chunk_loop():
     assert any(call in ast.walk(loop) for loop in loops)
 
 
+def test_only_the_streams_render_without_a_document():
+    """Every ``_render`` call without ``document=`` is a stream's or the text-only ``bfile``'s.
+
+    Those json lines write each cell as text or a bool, so a report, whose
+    cells hold None or integers past 2^53 - 1, renders a document instead.
+    """
+    calls = [
+        owner for owner, node in _owned_nodes()
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_render"
+        and "document" not in {keyword.arg for keyword in node.keywords}
+    ]
+    assert sorted(calls) == ["cli.bfile", "cli.enumerate_cmd", "cli.intersection"]
+
+
 def test_readme_ceilings_are_the_code_ceilings():
     """Every `X_CEILING` the README names is a constant of the package or its routes, with the value it states."""
     readme = (ROOT / "README.md").read_text()
